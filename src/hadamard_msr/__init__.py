@@ -3,7 +3,7 @@
 The package covers the full pipeline: coefficient search and validation,
 encode/decode over F_q, single-node repair that downloads half of each
 helper's data under two interference-cancellation strategies, per-phase
-field-operation metering, and a file-backed cluster with a CLI front end.
+field-operation costs derived from each repair plan, and a file-backed cluster with a CLI front end.
 """
 
 from .codec import (
@@ -18,7 +18,7 @@ from .codec import (
     validate_coefficients,
 )
 from .design import fast_hadamard_apply, sign_vector, sylvester
-from .field import OpCounter, PrimeField
+from .field import PrimeField
 from .metering import BenchTable, CostReport, emit_table, measure_repair
 from .repair import (
     RepairPlan,
@@ -33,7 +33,6 @@ __all__ = [
     "CodeParams",
     "CostReport",
     "DEMO_COEFFICIENTS",
-    "OpCounter",
     "PrimeField",
     "RepairPlan",
     "STRATEGIES",

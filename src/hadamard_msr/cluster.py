@@ -30,13 +30,7 @@ from .codec import (
     search_params,
 )
 from .metering import BenchTable, emit_table
-from .repair import (
-    STRATEGIES,
-    HelperTask,
-    RepairCounters,
-    build_repair_plan,
-    verify_rank_conditions,
-)
+from .repair import STRATEGIES, HelperTask, build_repair_plan, verify_rank_conditions
 
 MAGIC = b"HMSR"
 FORMAT_VERSION = 1
@@ -228,12 +222,7 @@ class ClusterState:
 
 
 def cmd_encode(
-    input_path,
-    out_dir,
-    k: int,
-    q: int | None = None,
-    demo: bool = False,
-    prefer_units: bool = False,
+    input_path, out_dir, k: int, q: int | None = None, demo: bool = False
 ) -> ClusterState:
     """Split a file into chunks, encode, and lay out the node directories."""
     input_path = Path(input_path)
@@ -251,7 +240,7 @@ def cmd_encode(
             raise UsageError(str(exc)) from None
     else:
         try:
-            params = search_params(k, q, prefer_units)
+            params = search_params(k, q)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
@@ -295,16 +284,12 @@ def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
 
 
 def read_repair_payload(
-    state: ClusterState,
-    helper: int,
-    chunk: int,
-    task: HelperTask,
-    counter=None,
+    state: ClusterState, helper: int, chunk: int, task: HelperTask
 ) -> np.ndarray:
     """Default payload reader: the helper transforms its shard locally and
     ships N/2 symbols.  Tests swap this out to audit download volume."""
     shard = read_shard(state.shard_path(helper, chunk), state.params, helper, chunk)
-    return task.payload(shard, state.params.q, counter)
+    return task.payload(shard, state.params.q)
 
 
 @dataclass(frozen=True)
@@ -312,11 +297,14 @@ class RepairSummary:
     node: int
     strategy: str
     chunks: int
-    downloaded_symbols: int
     per_chunk_downloaded: int
-    transfers: tuple  # (helper node, chunk, symbols shipped)
+    shipped: dict  # helper node -> symbols shipped over all chunks
     adds_by_phase: dict
     muls_by_phase: dict
+
+    @property
+    def downloaded_symbols(self) -> int:
+        return sum(self.shipped.values())
 
     @property
     def adds(self) -> int:
@@ -349,29 +337,27 @@ def cmd_repair(
             f"only {len(state.alive_nodes())} nodes alive; data is unrecoverable"
         )
     plan = build_repair_plan(params, node, strategy)
-    counters = RepairCounters()
-    transfers = []
-    for chunk in range(state.manifest.chunk_count):
+    chunks = state.manifest.chunk_count
+    shipped = dict.fromkeys(plan.helper_matrices, 0)
+    for chunk in range(chunks):
         payloads = {}
-        for helper in plan.helper_matrices:
-            payload = payload_reader(state, helper, chunk, plan.helper_matrices[helper], counters.download)
-            payloads[helper] = payload
-            transfers.append((helper, chunk, int(np.asarray(payload).size)))
-        restored = plan.assemble(payloads, counters)
+        for helper, task in plan.helper_matrices.items():
+            payloads[helper] = payload_reader(state, helper, chunk, task)
+            shipped[helper] += int(np.asarray(payloads[helper]).size)
+        restored = plan.assemble(payloads)
         write_shard(state.shard_path(node, chunk), params, node, chunk, restored)
         dead = state.dead_path(node, chunk)
         if dead.exists():
             dead.unlink()
-    adds_by_phase, muls_by_phase = counters.by_phase()
+    cost = plan.cost()
     return RepairSummary(
         node=node,
         strategy=strategy,
-        chunks=state.manifest.chunk_count,
-        downloaded_symbols=sum(t[2] for t in transfers),
+        chunks=chunks,
         per_chunk_downloaded=plan.downloaded_symbols,
-        transfers=tuple(transfers),
-        adds_by_phase=adds_by_phase,
-        muls_by_phase=muls_by_phase,
+        shipped=shipped,
+        adds_by_phase={phase: adds * chunks for phase, (adds, _) in cost.items()},
+        muls_by_phase={phase: muls * chunks for phase, (_, muls) in cost.items()},
     )
 
 

@@ -26,6 +26,17 @@ DEMO_COEFFICIENTS = {
 }
 
 
+def _cross_compatible(q: int, ai: int, bi: int, aj: int, bj: int) -> bool:
+    """True when s*a_i + t*a_j != +-(b_i - b_j) (mod q) for all signs s, t.
+
+    Negating s and t together negates the sum, so the four sign choices
+    reduce to a_i + a_j and a_i - a_j; neither may square to (b_i - b_j)**2,
+    and over a field that is one nonzero product.
+    """
+    d2 = (bi - bj) ** 2
+    return ((ai + aj) ** 2 - d2) * ((ai - aj) ** 2 - d2) % q != 0
+
+
 def coefficient_violations(k: int, q: int, a, b) -> list[str]:
     """All constraint violations of a candidate coefficient set, as messages.
 
@@ -48,15 +59,11 @@ def coefficient_violations(k: int, q: int, a, b) -> list[str]:
             problems.append(f"a_{i + 1}^2 - b_{i + 1}^2 != -1 (mod {q})")
     for i in range(k):
         for j in range(i + 1, k):
-            diff = (b[i] - b[j]) % q
-            for s in (1, -1):
-                for t in (1, -1):
-                    v = (s * a[i] + t * a[j]) % q
-                    if v == diff or v == (-diff) % q:
-                        problems.append(
-                            f"({s:+d})a_{i + 1} + ({t:+d})a_{j + 1} = "
-                            f"+-(b_{i + 1} - b_{j + 1}) (mod {q})"
-                        )
+            if not _cross_compatible(q, a[i], b[i], a[j], b[j]):
+                problems.append(
+                    f"s*a_{i + 1} + t*a_{j + 1} = +-(b_{i + 1} - b_{j + 1}) "
+                    f"(mod {q}) for some signs s, t"
+                )
     return problems
 
 
@@ -144,24 +151,13 @@ def find_coefficients(
         raise ValueError(f"q must be a prime >= 2k+3 = {2 * k + 3}, got {q}")
     pairs = _candidate_pairs(k, q, prefer_units)
 
-    def compatible(p, chosen):
-        ai, bi = p
-        for aj, bj in chosen:
-            diff = (bi - bj) % q
-            for s in (1, -1):
-                for t in (1, -1):
-                    v = (s * ai + t * aj) % q
-                    if v == diff or v == (-diff) % q:
-                        return False
-        return True
-
     chosen: list[tuple[int, int]] = []
 
     def extend() -> bool:
         if len(chosen) == k:
             return True
         for p in pairs:
-            if compatible(p, chosen):
+            if all(_cross_compatible(q, *p, *c) for c in chosen):
                 chosen.append(p)
                 if extend():
                     return True

@@ -6,13 +6,13 @@ repair schemes: shifting an index by 2**l flips the sign of x_i exactly when
 i = l (lemma1_relation), and the mirrored partner N-1-j-(-1)**j flips every
 x_i except x_0 (lemma2_partner).  The Sylvester-Hadamard matrix and its fast
 butterfly transform tie the standard basis to the alternative helper basis.
+The transforms only compute; their addition count is charged once per repair
+plan by RepairPlan.cost().
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .field import OpCounter
 
 
 def sign_vector(i: int, k: int) -> np.ndarray:
@@ -64,14 +64,12 @@ def sylvester(k: int) -> np.ndarray:
     return h
 
 
-def fast_hadamard_apply(
-    z, q: int | None = None, counter: OpCounter | None = None
-) -> np.ndarray:
+def fast_hadamard_apply(z, q: int | None = None) -> np.ndarray:
     """Sylvester-Hadamard transform via in-place butterflies.
 
-    A length n = 2**m input costs exactly m*n counted additions: n per
-    butterfly level, each output being one add or subtract of two values.
-    Reduces mod q when a modulus is given, else works over the integers.
+    A length n = 2**m input takes m butterfly levels, each output of a level
+    being the sum or difference of two values.  Reduces mod q when a modulus
+    is given, else works over the integers.
     """
     out = np.array(z, dtype=np.int64)
     n = out.size
@@ -84,8 +82,6 @@ def fast_hadamard_apply(
         b = blocks[:, h:].copy()
         blocks[:, :h] = a + b
         blocks[:, h:] = a - b
-        if counter is not None:
-            counter.adds += n
         if q is not None:
             out %= q
         h *= 2
@@ -94,14 +90,11 @@ def fast_hadamard_apply(
     return out
 
 
-def half_hadamard_apply(
-    z, sign: int, q: int | None = None, counter: OpCounter | None = None
-) -> np.ndarray:
+def half_hadamard_apply(z, sign: int, q: int | None = None) -> np.ndarray:
     """Product of the half-height block matrix (H | sign*H) with z.
 
     H is the Sylvester matrix of order n/2 for an input of length n = 2**m.
-    Computed as two full transforms plus one signed combine, which costs
-    m*2**m - 2**(m-1) counted additions in total.
+    Computed as two half-length transforms plus one signed combine.
     """
     z = np.asarray(z, dtype=np.int64)
     n = z.size
@@ -110,9 +103,7 @@ def half_hadamard_apply(
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     half = n // 2
-    top = fast_hadamard_apply(z[:half], q, counter)
-    bottom = fast_hadamard_apply(z[half:], q, counter)
-    if counter is not None:
-        counter.adds += half
+    top = fast_hadamard_apply(z[:half], q)
+    bottom = fast_hadamard_apply(z[half:], q)
     out = top + sign * bottom
     return out % q if q is not None else out

@@ -1,11 +1,8 @@
-"""Arithmetic in a prime field F_q with explicit operation accounting.
+"""Arithmetic in a prime field F_q: inverses, rank, and matrix inversion.
 
-Symbols are canonical ints in [0, q).  The accounting convention used across
-the package: every add or subtract of two symbols costs one addition; a
-multiplication is free when an operand is 0, 1, or q-1 (scaling by zero, one,
-or minus one is bookkeeping, not work).  The vector helpers judge freeness on
-the constant operand only, so measured costs are a property of the code, not
-of the data flowing through it.
+Symbols are canonical ints in [0, q).  Repair execution works on plain numpy
+arrays reduced mod q; what a repair costs in field operations is a property
+of its plan, counted once by RepairPlan.cost(), never during arithmetic.
 """
 
 from __future__ import annotations
@@ -14,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-PHASES = ("download", "cancel", "recover", "other")
 
 
 def is_prime(n: int) -> bool:
@@ -30,27 +25,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 6
     return True
-
-
-@dataclass
-class OpCounter:
-    """Monotone addition/multiplication totals for one phase of a computation."""
-
-    phase: str = "other"
-    adds: int = 0
-    muls: int = 0
-
-    def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}")
-
-    def merge(self, other: OpCounter) -> OpCounter:
-        phase = self.phase if self.phase == other.phase else "other"
-        return OpCounter(phase, self.adds + other.adds, self.muls + other.muls)
-
-    @property
-    def total(self) -> int:
-        return self.adds + self.muls
 
 
 @lru_cache(maxsize=None)
@@ -73,75 +47,11 @@ class PrimeField:
         if self.q >= 1 << 15:
             raise ValueError(f"modulus must be below 2**15, got {self.q}")
 
-    # scalar operations ------------------------------------------------
-
-    def add(self, x: int, y: int, counter: OpCounter | None = None) -> int:
-        if counter is not None:
-            counter.adds += 1
-        return (x + y) % self.q
-
-    def sub(self, x: int, y: int, counter: OpCounter | None = None) -> int:
-        # a subtraction is one addition; the negation itself is free
-        if counter is not None:
-            counter.adds += 1
-        return (x - y) % self.q
-
-    def mul(self, x: int, y: int, counter: OpCounter | None = None) -> int:
-        if counter is not None and not (self.is_free(x) or self.is_free(y)):
-            counter.muls += 1
-        return (x * y) % self.q
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.q
-
     def inv(self, x: int) -> int:
         x %= self.q
         if x == 0:
             raise ZeroDivisionError("division by zero")
         return pow(x, self.q - 2, self.q)
-
-    def is_free(self, x: int) -> bool:
-        """True when multiplying by x costs nothing (x is 0, 1, or q-1)."""
-        x %= self.q
-        return x == 0 or x == 1 or x == self.q - 1
-
-    # vector operations, counted in bulk -------------------------------
-
-    def free_mask(self, consts) -> np.ndarray:
-        c = np.asarray(consts, dtype=np.int64) % self.q
-        return (c == 0) | (c == 1) | (c == self.q - 1)
-
-    def vec_add(self, x, y, counter: OpCounter | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if counter is not None:
-            counter.adds += int(x.size)
-        return (x + np.asarray(y, dtype=np.int64)) % self.q
-
-    def vec_sub(self, x, y, counter: OpCounter | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if counter is not None:
-            counter.adds += int(x.size)
-        return (x - np.asarray(y, dtype=np.int64)) % self.q
-
-    def diag_mul(self, consts, x, counter: OpCounter | None = None) -> np.ndarray:
-        """Entrywise product with plan constants; 0, 1, q-1 constants multiply free."""
-        consts = np.asarray(consts, dtype=np.int64)
-        if counter is not None:
-            counter.muls += int(np.count_nonzero(~self.free_mask(consts)))
-        return (consts * np.asarray(x, dtype=np.int64)) % self.q
-
-    def mat_vec(self, matrix, x, counter: OpCounter | None = None) -> np.ndarray:
-        """Dense matrix @ x.  Zero entries contribute no work, each row sums
-        its nonzero terms with nnz-1 additions, and 0, 1, q-1 entries multiply
-        free."""
-        m = np.asarray(matrix, dtype=np.int64)
-        if counter is not None:
-            nnz = np.count_nonzero(m, axis=1)
-            counter.adds += int(np.maximum(nnz - 1, 0).sum())
-            counter.muls += int(np.count_nonzero(~self.free_mask(m)))
-        return (m @ np.asarray(x, dtype=np.int64)) % self.q
-
-    # uncounted linear algebra (plan construction and verification) ----
 
     def inv_vec(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=np.int64) % self.q

@@ -1,12 +1,12 @@
 """Computation-load accounting for repairs: bounds, measurements, reports.
 
-Counts are data-independent by construction: multiplications are charged
-against the plan's constants (diagonal and inverse-matrix entries), never
-against the symbol values flowing through, so repeated measurement of one
-(params, node, strategy) triple always agrees.  The report emitter places
-measured counts next to their closed-form bounds and, for the two built-in
-demo parameter sets, next to the reference values those profiles are meant
-to reproduce, flagging any delta.
+Counts are data-independent by construction: RepairPlan.cost() derives them
+from the plan's constants (diagonal and inverse-matrix entries), never from
+the symbol values flowing through, so one (params, node, strategy) triple
+always reports the same numbers.  The report emitter places those counts
+next to their closed-form bounds and, for the two built-in demo parameter
+sets, next to the reference values those profiles are meant to reproduce,
+flagging any delta.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import DEMO_COEFFICIENTS, CodeParams, demo_params, encode
-from .repair import RepairCounters, build_repair_plan, execute_repair
+from .repair import build_repair_plan, execute_repair
 
 CSV_HEADER = "node,strategy,add,mul,add_bound,mul_bound,downloaded_symbols"
 
@@ -80,7 +80,7 @@ def bound_formulas(k: int, n: int, node_class: str, strategy: str) -> tuple[int,
 
 @dataclass(frozen=True)
 class CostReport:
-    """Measured cost of repairing one node under one strategy."""
+    """Cost of repairing one node under one strategy."""
 
     node: int
     node_class: str
@@ -107,23 +107,23 @@ class CostReport:
 def measure_repair(
     params: CodeParams, node: int, strategy: str, rng: np.random.Generator | None = None
 ) -> CostReport:
-    """Execute one instrumented repair on random data and report its cost.
+    """Report the plan's cost of repairing one node under one strategy.
 
-    The repaired content is checked against the erased original; a mismatch
-    raises instead of producing a report for a broken repair.
+    The plan is first run on random data and the repaired content checked
+    against the erased original; a mismatch raises instead of producing a
+    report for a broken repair.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     plan = build_repair_plan(params, node, strategy)
     parts = rng.integers(0, params.q, size=(params.k, params.n), dtype=np.int64)
     word = encode(params, parts)
-    counters = RepairCounters()
-    restored = execute_repair(plan, word, counters)
+    restored = execute_repair(plan, word)
     if not np.array_equal(restored, word[node - 1]):
         raise RuntimeError(
             f"repair of node {node} ({strategy}) produced wrong data; counts void"
         )
-    adds_by_phase, muls_by_phase = counters.by_phase()
+    cost = plan.cost()
     add_bound, mul_bound = bound_formulas(
         params.k, params.n, classify_node(params, node), strategy
     )
@@ -131,8 +131,8 @@ def measure_repair(
         node=node,
         node_class=classify_node(params, node),
         strategy=strategy,
-        adds_by_phase=adds_by_phase,
-        muls_by_phase=muls_by_phase,
+        adds_by_phase={phase: adds for phase, (adds, _) in cost.items()},
+        muls_by_phase={phase: muls for phase, (_, muls) in cost.items()},
         add_bound=add_bound,
         mul_bound=mul_bound,
         downloaded_symbols=plan.downloaded_symbols,

@@ -1,30 +1,30 @@
-"""Single-node repair: matrices, plans, execution, and rank verification.
+"""Single-node repair: matrices, plans, execution, cost, and rank verification.
 
 Every repair downloads exactly N/2 symbols from each of the k+1 surviving
 nodes: helper l applies a half-height repair matrix to its content (for the
 second parity's repair, after scaling by its own coding diagonal) and ships
-the result.  The repairer then runs two counted phases: interference
-cancellation, which collapses the k+1 payloads into two half-vectors u1, u2
-tied to the failed node's content alone, and recover, which inverts the
-stacked relation [S; S~ D] to rebuild all N symbols.
+the result.  The repairer then runs two phases: interference cancellation,
+which collapses the k+1 payloads into two half-vectors u1, u2 tied to the
+failed node's content alone, and recover, which inverts the stacked relation
+[S; S~ D] to rebuild all N symbols.
 
 Two strategies share the same column; the "new" one keeps payloads in the
 standard basis, where every repair-matrix row has two +-1 entries, while the
 "original" one re-expresses the same functionals in the Sylvester-Hadamard
 basis: downloads ride the fast transform, but cancellation and recovery turn
-dense.  The operation counters make that cost difference measurable.
+dense.  RepairPlan.cost() derives what that difference costs per phase from
+the plan's constants alone; execution itself is uncounted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .codec import CodeParams, coding_matrix, inverse_coding_matrix
 from .design import half_hadamard_apply, lemma2_partner, sylvester
-from .field import OpCounter
 
 STANDARD = "standard"
 SYLVESTER = "sylvester"
@@ -32,48 +32,28 @@ STRATEGIES = ("new", "original")
 STRATEGY_BASIS = {"new": STANDARD, "original": SYLVESTER}
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Basis of F_q^(2^k): unit vectors, or Sylvester-Hadamard columns."""
-
-    kind: str
-    k: int
-
-    def __post_init__(self):
-        if self.kind not in (STANDARD, SYLVESTER):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("basis order exponent must be at least 1")
-
-    @property
-    def order(self) -> int:
-        return 1 << self.k
-
-    def vectors(self) -> np.ndarray:
-        """Basis vectors as columns of a 2^k x 2^k integer matrix."""
-        if self.kind == STANDARD:
-            return np.eye(self.order, dtype=np.int64)
-        return sylvester(self.k)
-
-
 class RepairMatrix:
     """Half-height matrix mapping column j to sign[j] * basis vector index[j].
 
-    Each basis index appears in exactly two columns; with the standard basis
-    the dense form therefore has two +-1 entries per row.  All constructions
-    here have +1 on the first occurrence of every row and one uniform sign on
-    the second occurrences, which is what lets the Sylvester-basis form ride
+    The basis of F_q^(N/2) is either the unit vectors (kind "standard") or
+    the Sylvester-Hadamard columns (kind "sylvester").  Each basis index
+    appears in exactly two columns; with the standard basis the dense form
+    therefore has two +-1 entries per row.  All constructions here have +1
+    on the first occurrence of every row and one uniform sign on the second
+    occurrences, which is what lets the Sylvester-basis form ride
     half_hadamard_apply.
     """
 
-    def __init__(self, basis: Basis, index, sign):
-        self.basis = basis
+    def __init__(self, kind: str, index, sign):
+        if kind not in (STANDARD, SYLVESTER):
+            raise ValueError(f"unknown basis kind {kind!r}")
+        self.kind = kind
         self.index = np.asarray(index, dtype=np.int64)
         self.sign = np.asarray(sign, dtype=np.int64)
         n = self.index.size
-        half = basis.order
-        if n != 2 * half or self.sign.shape != (n,):
-            raise ValueError("need N columns of index and sign for N/2 rows")
+        half = n // 2
+        if n < 4 or n & (n - 1) or self.sign.shape != (n,):
+            raise ValueError("need N = 2^(k+1) >= 4 columns of index and sign")
         if not np.all(np.bincount(self.index, minlength=half) == 2):
             raise ValueError("every basis index must be used exactly twice")
         if not np.all(np.abs(self.sign) == 1):
@@ -94,55 +74,53 @@ class RepairMatrix:
 
     @property
     def rows(self) -> int:
-        return self.basis.order
+        return self.n // 2
 
     def dense(self, q: int | None = None) -> np.ndarray:
         """Dense rows x N form; over the integers when q is omitted."""
         half, n = self.rows, self.n
         std = np.zeros((half, n), dtype=np.int64)
         std[self.index, np.arange(n)] = self.sign
-        out = std if self.basis.kind == STANDARD else self.basis.vectors() @ std
+        out = std if self.kind == STANDARD else sylvester(half.bit_length() - 1) @ std
         return out if q is None else out % q
 
-    def apply(self, vec, q: int, counter: OpCounter | None = None) -> np.ndarray:
-        """Counted matrix-vector product, exploiting the two-per-row shape.
+    def apply(self, vec, q: int) -> np.ndarray:
+        """Matrix-vector product exploiting the two-per-row shape.
 
-        Standard basis: one addition per row.  Sylvester basis: the gathered
+        Standard basis: one signed sum per row.  Sylvester basis: the gathered
         halves feed two fast transforms plus a signed combine.
         """
         vec = np.asarray(vec, dtype=np.int64)
         if vec.shape != (self.n,):
             raise ValueError(f"vector must have shape ({self.n},)")
+        if self.kind == STANDARD:
+            return (vec[self.first] + self.second_sign * vec[self.second]) % q
         gathered = np.concatenate([vec[self.first], vec[self.second]])
-        if self.basis.kind == STANDARD:
-            if counter is not None:
-                counter.adds += self.rows
-            return (gathered[: self.rows] + self.second_sign * gathered[self.rows :]) % q
-        return half_hadamard_apply(gathered, self.second_sign, q, counter)
+        return half_hadamard_apply(gathered, self.second_sign, q)
 
 
-def systematic_repair_matrix(k: int, i: int, basis: Basis) -> RepairMatrix:
+def systematic_repair_matrix(k: int, i: int, kind: str) -> RepairMatrix:
     """Repair matrix of systematic node i: pairs columns j and j + 2^i."""
     if not 1 <= i <= k:
         raise ValueError(f"systematic index {i} out of range for k={k}")
     j = np.arange(1 << (k + 1), dtype=np.int64)
     index = (j >> (i + 1) << i) + (j & ((1 << i) - 1))
-    return RepairMatrix(basis, index, np.ones_like(j))
+    return RepairMatrix(kind, index, np.ones_like(j))
 
 
-def parity1_repair_matrices(k: int, basis: Basis) -> tuple[RepairMatrix, RepairMatrix]:
+def parity1_repair_matrices(k: int, kind: str) -> tuple[RepairMatrix, RepairMatrix]:
     """Matrices (S, S~) for the first parity: pairs columns j and N-1-j."""
     n = 1 << (k + 1)
     j = np.arange(n, dtype=np.int64)
     index = np.where(j < n // 2, j, n - 1 - j)
     tilde_sign = np.where(j < n // 2, 1, -1)
     return (
-        RepairMatrix(basis, index, np.ones_like(j)),
-        RepairMatrix(basis, index, tilde_sign),
+        RepairMatrix(kind, index, np.ones_like(j)),
+        RepairMatrix(kind, index, tilde_sign),
     )
 
 
-def parity2_repair_matrices(k: int, basis: Basis) -> tuple[RepairMatrix, RepairMatrix]:
+def parity2_repair_matrices(k: int, kind: str) -> tuple[RepairMatrix, RepairMatrix]:
     """Matrices (S, S~) for the second parity: pairs j with lemma2_partner(j)."""
     n = 1 << (k + 1)
     index = np.empty(n, dtype=np.int64)
@@ -152,8 +130,8 @@ def parity2_repair_matrices(k: int, basis: Basis) -> tuple[RepairMatrix, RepairM
     j = np.arange(n, dtype=np.int64)
     tilde_sign = np.where(j < n // 2, 1, -1)
     return (
-        RepairMatrix(basis, index, np.ones_like(j)),
-        RepairMatrix(basis, index, tilde_sign),
+        RepairMatrix(kind, index, np.ones_like(j)),
+        RepairMatrix(kind, index, tilde_sign),
     )
 
 
@@ -164,18 +142,10 @@ class HelperTask:
     matrix: RepairMatrix
     premultiply: np.ndarray | None = None
 
-    def payload(self, vec, q: int, counter: OpCounter | None = None) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.int64)
+    def payload(self, vec, q: int) -> np.ndarray:
         if self.premultiply is not None:
-            if counter is not None:
-                free = (
-                    (self.premultiply == 0)
-                    | (self.premultiply == 1)
-                    | (self.premultiply == q - 1)
-                )
-                counter.muls += int(np.count_nonzero(~free))
-            vec = self.premultiply * vec % q
-        return self.matrix.apply(vec, q, counter)
+            vec = self.premultiply * np.asarray(vec, dtype=np.int64) % q
+        return self.matrix.apply(vec, q)
 
 
 @dataclass(frozen=True)
@@ -204,30 +174,6 @@ class PairRecover:
         return out
 
 
-@dataclass
-class RepairCounters:
-    """One counter per repair phase."""
-
-    download: OpCounter = dataclass_field(default_factory=lambda: OpCounter("download"))
-    cancel: OpCounter = dataclass_field(default_factory=lambda: OpCounter("cancel"))
-    recover: OpCounter = dataclass_field(default_factory=lambda: OpCounter("recover"))
-
-    @property
-    def adds(self) -> int:
-        return self.download.adds + self.cancel.adds + self.recover.adds
-
-    @property
-    def muls(self) -> int:
-        return self.download.muls + self.cancel.muls + self.recover.muls
-
-    def by_phase(self) -> tuple[dict, dict]:
-        phases = {"download": self.download, "cancel": self.cancel, "recover": self.recover}
-        return (
-            {name: c.adds for name, c in phases.items()},
-            {name: c.muls for name, c in phases.items()},
-        )
-
-
 @dataclass(frozen=True)
 class RepairPlan:
     """Everything needed to rebuild one failed node from helper payloads."""
@@ -247,47 +193,97 @@ class RepairPlan:
     def downloaded_symbols(self) -> int:
         return (self.params.k + 1) * self.params.n // 2
 
-    def helper_payload(self, node: int, vec, counter: OpCounter | None = None) -> np.ndarray:
+    def helper_payload(self, node: int, vec) -> np.ndarray:
         if node not in self.helper_matrices:
             raise ValueError(f"node {node} is not a helper for this repair")
-        return self.helper_matrices[node].payload(vec, self.params.q, counter)
+        return self.helper_matrices[node].payload(vec, self.params.q)
 
     def recover_dense(self) -> np.ndarray:
         if isinstance(self.recover_map, PairRecover):
             return self.recover_map.dense(self.params.n)
         return self.recover_map
 
-    def assemble(self, payloads: dict, counters: RepairCounters | None = None) -> np.ndarray:
+    def assemble(self, payloads: dict) -> np.ndarray:
         """Cancel interference and recover the failed node's N symbols."""
-        f = self.params.field
-        cancel = counters.cancel if counters is not None else None
-        recover = counters.recover if counters is not None else None
-        combine = f.vec_add if self.cancel_sign > 0 else f.vec_sub
+        q = self.params.q
+        combine = np.add if self.cancel_sign > 0 else np.subtract
         u1 = np.array(payloads[self.seeds[0]], dtype=np.int64)
         u2 = np.array(payloads[self.seeds[1]], dtype=np.int64)
         for node in self.cancel_nodes:
             d = np.asarray(payloads[node], dtype=np.int64)
-            u1 = combine(u1, d, cancel)
             if self.cancel_dense is None:
-                scaled = f.diag_mul(self.cancel_diagonals[node], d, cancel)
+                scaled = self.cancel_diagonals[node] * d
             else:
-                scaled = f.mat_vec(self.cancel_dense[node], d, cancel)
-            u2 = combine(u2, scaled, cancel)
-        if isinstance(self.recover_map, PairRecover):
-            r = self.recover_map
-            out = np.zeros(self.params.n, dtype=np.int64)
-            out[r.j1] = f.vec_add(f.diag_mul(r.w11, u1, recover), f.diag_mul(r.w12, u2, recover), recover)
-            out[r.j2] = f.vec_add(f.diag_mul(r.w21, u1, recover), f.diag_mul(r.w22, u2, recover), recover)
+                scaled = self.cancel_dense[node] @ d
+            combine(u1, d, out=u1)
+            combine(u2, scaled, out=u2)
+        u1 %= q
+        u2 %= q
+        r = self.recover_map
+        if isinstance(r, PairRecover):
+            out = np.empty(self.params.n, dtype=np.int64)
+            out[r.j1] = (r.w11 * u1 + r.w12 * u2) % q
+            out[r.j2] = (r.w21 * u1 + r.w22 * u2) % q
             return out
-        return f.mat_vec(self.recover_map, np.concatenate([u1, u2]), recover)
+        return r @ np.concatenate([u1, u2]) % q
+
+    def cost(self) -> dict:
+        """Per-phase (adds, muls) of repairing one chunk, from the plan alone.
+
+        Adding or subtracting two symbols is one add.  A product with a plan
+        constant is one mul unless the constant is 0, 1 or q-1 (scaling by
+        zero, one or minus one is bookkeeping, not work).  A dense matrix
+        times a vector sums each row's nonzero terms with nnz-1 adds, and a
+        length-2^m fast transform costs m*2^m adds.  Counts never depend on
+        the data a repair runs on.
+        """
+        q, n, k = self.params.q, self.params.n, self.params.k
+
+        def muls(consts) -> int:
+            c = np.asarray(consts) % q
+            return c.size - int(np.count_nonzero((c <= 1) | (c == q - 1)))
+
+        def dense(matrix) -> tuple[int, int]:
+            nnz = np.count_nonzero(matrix, axis=1)
+            return int(np.maximum(nnz - 1, 0).sum()), muls(matrix)
+
+        download = [0, 0]
+        for task in self.helper_matrices.values():
+            # standard: one add per row; sylvester: two length-N/2 transforms
+            # (k*N/2 adds each) plus one signed combine
+            rows = task.matrix.rows
+            download[0] += rows if task.matrix.kind == STANDARD else (2 * k + 1) * rows
+            if task.premultiply is not None:
+                download[1] += muls(task.premultiply)
+
+        # each cancel node folds into u1 and u2: two length-N/2 sums
+        cancel = [n * len(self.cancel_nodes), 0]
+        for node in self.cancel_nodes:
+            if self.cancel_dense is None:
+                cancel[1] += muls(self.cancel_diagonals[node])
+            else:
+                adds, mul = dense(self.cancel_dense[node])
+                cancel[0] += adds
+                cancel[1] += mul
+
+        r = self.recover_map
+        if isinstance(r, PairRecover):
+            recover = (n, muls(np.concatenate([r.w11, r.w12, r.w21, r.w22])))
+        else:
+            recover = dense(r)
+        return {
+            "download": tuple(download),
+            "cancel": tuple(cancel),
+            "recover": tuple(recover),
+        }
 
 
-def _plan_pieces(params: CodeParams, failed: int, basis: Basis):
+def _plan_pieces(params: CodeParams, failed: int, kind: str):
     """Matrices, helper tasks, seeds, and cancel/recover diagonals per case."""
     k = params.k
     alpha = [coding_matrix(params, l) for l in range(1, k + 1)]
     if 1 <= failed <= k:
-        s = systematic_repair_matrix(k, failed, basis)
+        s = systematic_repair_matrix(k, failed, kind)
         s_tilde = s
         helpers = {l: HelperTask(s) for l in range(1, k + 3) if l != failed}
         seeds = (k + 1, k + 2)
@@ -296,7 +292,7 @@ def _plan_pieces(params: CodeParams, failed: int, basis: Basis):
         interference = {l: alpha[l - 1] for l in cancel_nodes}
         cancel_sign = -1
     elif failed == k + 1:
-        s, s_tilde = parity1_repair_matrices(k, basis)
+        s, s_tilde = parity1_repair_matrices(k, kind)
         helpers = {l: HelperTask(s) for l in range(1, k + 1)}
         helpers[k + 2] = HelperTask(s_tilde)
         seeds = (1, k + 2)
@@ -305,7 +301,7 @@ def _plan_pieces(params: CodeParams, failed: int, basis: Basis):
         interference = {l: (alpha[0] - alpha[l - 1]) % params.q for l in cancel_nodes}
         cancel_sign = 1
     elif failed == k + 2:
-        s, s_tilde = parity2_repair_matrices(k, basis)
+        s, s_tilde = parity2_repair_matrices(k, kind)
         helpers = {
             l: HelperTask(s, premultiply=alpha[l - 1]) for l in range(1, k + 1)
         }
@@ -332,23 +328,23 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    basis = Basis(STRATEGY_BASIS[strategy], params.k)
+    kind = STRATEGY_BASIS[strategy]
     f = params.field
     q = params.q
     s, s_tilde, helpers, seeds, cancel_nodes, diag_recover, interference, cancel_sign = _plan_pieces(
-        params, failed, basis
+        params, failed, kind
     )
     j1, j2 = s.first, s.second
     cancel_diagonals = {l: d[j1] for l, d in interference.items()}
     cancel_dense = None
-    if basis.kind == SYLVESTER:
-        h = basis.vectors()
-        h_inv = h * f.inv(basis.order) % q
+    if kind == SYLVESTER:
+        h = sylvester(params.k)
+        h_inv = h * f.inv(s.rows) % q
         cancel_dense = {
             l: h @ np.diag(b) @ h_inv % q for l, b in cancel_diagonals.items()
         }
 
-    if basis.kind == STANDARD:
+    if kind == STANDARD:
         c1 = diag_recover[j1] % q
         c2 = s_tilde.second_sign * diag_recover[j2] % q
         det_inv = f.inv_vec(c2 - s.second_sign * c1)
@@ -378,9 +374,7 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
     )
 
 
-def execute_repair(
-    plan: RepairPlan, survivors, counters: RepairCounters | None = None
-) -> np.ndarray:
+def execute_repair(plan: RepairPlan, survivors) -> np.ndarray:
     """Rebuild the failed node's content from the k+1 survivors.
 
     `survivors` is either a map node id -> length-N vector covering all
@@ -389,13 +383,12 @@ def execute_repair(
     if not isinstance(survivors, dict):
         word = np.asarray(survivors, dtype=np.int64)
         survivors = {node: word[node - 1] for node in plan.helper_matrices}
-    download = counters.download if counters is not None else None
     payloads = {}
     for node in plan.helper_matrices:
         if node not in survivors:
             raise ValueError(f"missing helper data for node {node}")
-        payloads[node] = plan.helper_payload(node, survivors[node], download)
-    return plan.assemble(payloads, counters)
+        payloads[node] = plan.helper_payload(node, survivors[node])
+    return plan.assemble(payloads)
 
 
 @dataclass(frozen=True)
@@ -478,12 +471,12 @@ def verify_rank_conditions(params: CodeParams, strategy: str = "new") -> RankRep
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    basis = Basis(STRATEGY_BASIS[strategy], params.k)
+    kind = STRATEGY_BASIS[strategy]
     conditions = []
     for failed in range(1, params.k + 3):
         try:
             s, s_tilde, _, _, cancel_nodes, diag_recover, interference, _ = _plan_pieces(
-                params, failed, basis
+                params, failed, kind
             )
         except ZeroDivisionError:
             conditions.append(

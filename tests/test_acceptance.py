@@ -13,11 +13,9 @@ import pytest
 from hadamard_msr import cluster
 from hadamard_msr.codec import demo_params, encode, decode, search_params, validate_coefficients
 from hadamard_msr.design import fast_hadamard_apply, sign_vector, sylvester
-from hadamard_msr.field import OpCounter
 from hadamard_msr.metering import bound_formulas, measure_repair
 from hadamard_msr.repair import (
     STANDARD,
-    Basis,
     build_repair_plan,
     execute_repair,
     parity1_repair_matrices,
@@ -67,13 +65,12 @@ def test_criterion_1_coefficient_validation():
 
 def test_criterion_2_repair_matrix_reproduction():
     with Budget(1.0, "2 (dense repair selectors at k=2)"):
-        basis = Basis(STANDARD, 2)
-        assert np.array_equal(systematic_repair_matrix(2, 1, basis).dense(), S1_DENSE)
-        assert np.array_equal(systematic_repair_matrix(2, 2, basis).dense(), S2_DENSE)
-        s, s_tilde = parity1_repair_matrices(2, basis)
+        assert np.array_equal(systematic_repair_matrix(2, 1, STANDARD).dense(), S1_DENSE)
+        assert np.array_equal(systematic_repair_matrix(2, 2, STANDARD).dense(), S2_DENSE)
+        s, s_tilde = parity1_repair_matrices(2, STANDARD)
         assert np.array_equal(s.dense(), P1_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P1_ST_DENSE)
-        s, s_tilde = parity2_repair_matrices(2, basis)
+        s, s_tilde = parity2_repair_matrices(2, STANDARD)
         assert np.array_equal(s.dense(), P2_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P2_ST_DENSE)
 
@@ -150,10 +147,8 @@ def test_criterion_7_bandwidth(tmp_path, searched_params):
                     cluster.cmd_kill(root, node)
                     sizes = []
 
-                    def audit(state_, helper, chunk, task, counter=None):
-                        payload = cluster.read_repair_payload(
-                            state_, helper, chunk, task, counter
-                        )
+                    def audit(state_, helper, chunk, task):
+                        payload = cluster.read_repair_payload(state_, helper, chunk, task)
                         sizes.append(payload.size)
                         return payload
 
@@ -163,6 +158,9 @@ def test_criterion_7_bandwidth(tmp_path, searched_params):
                     chunks = state.manifest.chunk_count
                     assert sizes == [half] * ((k + 1) * chunks)
                     assert summary.downloaded_symbols == (k + 1) * half * chunks
+                    assert summary.shipped == {
+                        h: half * chunks for h in range(1, k + 3) if h != node
+                    }
                     assert summary.per_chunk_downloaded == (k + 1) * (1 << k)
         # plan-level accounting agrees for every k
         for k in range(2, 7):
@@ -196,7 +194,7 @@ def test_criterion_9_rank_conditions(searched_params):
 
 
 def test_criterion_10_lemma_suite():
-    with Budget(10.0, "10 (index lemmas exhaustive k<=6; transform counts k<=10)"):
+    with Budget(10.0, "10 (index lemmas exhaustive k<=6; fast transform k<=10)"):
         for k in range(1, 7):
             n = 1 << (k + 1)
             vectors = [sign_vector(i, k) for i in range(k + 1)]
@@ -218,10 +216,8 @@ def test_criterion_10_lemma_suite():
         for k in range(1, 11):
             n = 1 << k
             z = np.random.default_rng(k).integers(0, 13, size=n, dtype=np.int64)
-            c = OpCounter(phase="other")
-            out = fast_hadamard_apply(z.copy(), q=13, counter=c)
+            out = fast_hadamard_apply(z.copy(), q=13)
             assert np.array_equal(out, sylvester(k) @ z % 13)
-            assert c.adds == k * n and c.muls == 0
 
 
 def test_criterion_11_end_to_end(tmp_path):

@@ -70,6 +70,24 @@ class TestKillRepair:
         assert "download: adds=" in out
         assert "total: adds=" in out
 
+    def test_report_lines_exact(self, tmp_path, blob, capsys):
+        # README quickstart profile: k=3, q=257; node 2 is systematic
+        path, _ = blob
+        root = tmp_path / "cluster"
+        assert main(["encode", str(path), str(root), "--k", "3", "--q", "257"]) == 0
+        chunks = int(capsys.readouterr().out.split(" into ")[1].split()[0])
+        assert main(["kill", str(root), "2"]) == 0
+        capsys.readouterr()
+        assert main(["repair", str(root), "2", "--report"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"repaired node 2 with the new strategy: {chunks} chunks, "
+            f"{32 * chunks} symbols downloaded (32 per chunk)",
+            f"  download: adds={32 * chunks} muls=0",
+            f"  cancel: adds={32 * chunks} muls={16 * chunks}",
+            f"  recover: adds={16 * chunks} muls={32 * chunks}",
+            f"  total: adds={80 * chunks} muls={48 * chunks}",
+        ]
+
     def test_original_strategy_flag(self, tmp_path, blob, capsys):
         root = encode_cluster(tmp_path, blob)
         assert main(["kill", str(root), "1"]) == 0

@@ -301,8 +301,8 @@ class TestRepair:
         cmd_kill(state.root, 3)
         seen = []
 
-        def counting_reader(state_, helper, chunk, task, counter=None):
-            out = read_repair_payload(state_, helper, chunk, task, counter)
+        def counting_reader(state_, helper, chunk, task):
+            out = read_repair_payload(state_, helper, chunk, task)
             seen.append((helper, chunk, out.size))
             return out
 
@@ -310,8 +310,10 @@ class TestRepair:
         chunks = state.manifest.chunk_count
         assert len(seen) == 3 * chunks
         assert all(size == 4 for _, _, size in seen)
+        assert sorted(seen) == [(h, c, 4) for h in (1, 2, 4) for c in range(chunks)]
+        tally = {h: sum(size for helper, _, size in seen if helper == h) for h in (1, 2, 4)}
+        assert summary.shipped == tally == {1: 4 * chunks, 2: 4 * chunks, 4: 4 * chunks}
         assert summary.downloaded_symbols == 3 * 4 * chunks
-        assert summary.transfers == tuple(seen)
 
     def test_op_totals_scale_with_chunks(self, tmp_path, payload):
         state, _ = make_cluster(tmp_path, payload)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadamard_msr import codec
+
+from conftest import SMALL_PRIMES
 from hadamard_msr.codec import (
     CodeParams,
     DEMO_COEFFICIENTS,
@@ -78,7 +80,47 @@ class TestCodeParams:
         assert p.b == (3, 4)
 
 
+# find_coefficients(k, q) for every small prime q >= 2k+3, frozen so the
+# search order (and so every searched code's coefficients) cannot drift
+FOUND = {
+    (2, 7): ((1, 1), (3, 4)),
+    (2, 11): ((2, 2), (4, 7)),
+    (2, 13): ((3, 3), (6, 7)),
+    (2, 17): ((1, 1), (6, 11)),
+    (2, 19): ((2, 2), (9, 10)),
+    (2, 23): ((1, 1), (5, 18)),
+    (2, 101): ((2, 2), (45, 56)),
+    (2, 257): ((1, 1), (60, 197)),
+    (2, 751): ((1, 1), (113, 638)),
+    (3, 11): ((2, 2, 5), (4, 7, 2)),
+    (3, 13): ((3, 3, 4), (6, 7, 2)),
+    (3, 17): ((1, 1, 5), (6, 11, 3)),
+    (3, 19): ((2, 2, 4), (9, 10, 6)),
+    (3, 23): ((1, 1, 5), (5, 18, 7)),
+    (3, 101): ((2, 2, 4), (45, 56, 44)),
+    (3, 257): ((1, 1, 4), (60, 197, 70)),
+    (3, 751): ((1, 1, 2), (113, 638, 330)),
+    (4, 11): ((2, 2, 5, 5), (4, 7, 2, 9)),
+    (4, 13): ((3, 3, 4, 4), (6, 7, 2, 11)),
+    (4, 17): ((1, 1, 5, 5), (6, 11, 3, 14)),
+    (4, 19): ((2, 2, 4, 4), (9, 10, 6, 13)),
+    (4, 23): ((1, 1, 5, 5), (5, 18, 7, 16)),
+    (4, 101): ((2, 2, 4, 4), (45, 56, 44, 57)),
+    (4, 257): ((1, 1, 4, 4), (60, 197, 70, 187)),
+    (4, 751): ((1, 1, 2, 2), (113, 638, 330, 421)),
+}
+
+
 class TestSearch:
+    def test_pinned_results_cover_every_small_prime(self):
+        assert set(FOUND) == {
+            (k, q) for k in (2, 3, 4) for q in SMALL_PRIMES if q >= 2 * k + 3
+        }
+
+    @pytest.mark.parametrize("k,q", sorted(FOUND))
+    def test_pinned_results(self, k, q):
+        assert find_coefficients(k, q) == FOUND[(k, q)]
+
     def test_smallest_solution_k2(self):
         assert find_coefficients(2, 7) == ((1, 1), (3, 4))
 

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hadamard_msr.field import OpCounter, PHASES, PrimeField, is_prime
+from hadamard_msr.codec import demo_params
+from hadamard_msr.field import PrimeField, is_prime
+from hadamard_msr.repair import HelperTask, build_repair_plan
 
 from conftest import SMALL_PRIMES
 
@@ -11,6 +15,20 @@ def field_and_elements(draw, count):
     q = draw(st.sampled_from(SMALL_PRIMES))
     xs = [draw(st.integers(0, q - 1)) for _ in range(count)]
     return PrimeField(q), xs
+
+
+def demo_plan(k, failed, **changes):
+    """The demo `new` repair plan for node `failed`, with some constants swapped.
+
+    Field operation counts come from RepairPlan.cost(); swapping a plan's
+    constants is how these tests probe the counting convention.
+    """
+    return replace(build_repair_plan(demo_params(k), failed, "new"), **changes)
+
+
+def free_cancel(plan):
+    """Cancel diagonals of all ones, so the cancel phase costs adds only."""
+    return {l: np.ones_like(d) for l, d in plan.cancel_diagonals.items()}
 
 
 class TestIsPrime:
@@ -37,102 +55,85 @@ class TestConstruction:
 
 class TestScalarOps:
     @given(st.data())
-    def test_add_sub_mul_match_integers(self, data):
-        f, (x, y) = field_and_elements(data.draw, 2)
-        assert f.add(x, y) == (x + y) % f.q
-        assert f.sub(x, y) == (x - y) % f.q
-        assert f.mul(x, y) == (x * y) % f.q
-        assert f.neg(x) == (-x) % f.q
-
-    @given(st.data())
     def test_inverse(self, data):
         f, (x,) = field_and_elements(data.draw, 1)
         if x == 0:
             with pytest.raises(ZeroDivisionError):
                 f.inv(x)
         else:
-            assert f.mul(x, f.inv(x)) == 1
+            assert x * f.inv(x) % f.q == 1
 
     def test_free_constants(self):
-        f = PrimeField(11)
-        assert f.is_free(0) and f.is_free(1) and f.is_free(10)
-        assert not f.is_free(2) and not f.is_free(9)
-        mask = f.free_mask(np.array([0, 1, 2, 9, 10]))
-        assert mask.tolist() == [True, True, False, False, True]
+        # scaling by 0, 1 or q-1 is free; every other constant costs a mul
+        plan = demo_plan(3, 1)
+        q = plan.params.q
+        assert q == 11
+        free = []
+        for c in range(q):
+            diagonals = {l: np.full_like(d, c) for l, d in plan.cancel_diagonals.items()}
+            muls = replace(plan, cancel_diagonals=diagonals).cost()["cancel"][1]
+            size = sum(d.size for d in diagonals.values())
+            assert muls in (0, size)
+            if muls == 0:
+                free.append(c)
+        assert free == [0, 1, 10]
 
 
 class TestCounting:
     def test_add_and_sub_cost_one(self):
-        f = PrimeField(7)
-        c = OpCounter(phase="cancel")
-        f.add(3, 4, c)
-        f.sub(3, 4, c)
-        assert (c.adds, c.muls) == (2, 0)
+        plan = demo_plan(2, 1)
+        plan = replace(plan, cancel_diagonals=free_cancel(plan))
+        n = plan.params.n
+        costs = {
+            sign: replace(plan, cancel_sign=sign).cost()["cancel"] for sign in (1, -1)
+        }
+        # each cancel node is added to (or subtracted from) u1 and u2
+        assert costs[1] == costs[-1] == (n * len(plan.cancel_nodes), 0)
 
     def test_mul_free_operand_costs_nothing(self):
-        f = PrimeField(7)
-        c = OpCounter(phase="recover")
-        f.mul(1, 5, c)
-        f.mul(6, 5, c)  # 6 = -1, free
-        f.mul(0, 5, c)
-        assert (c.adds, c.muls) == (0, 0)
-        f.mul(3, 5, c)
-        assert c.muls == 1
+        plan = demo_plan(2, 1)
+        q, n = plan.params.q, plan.params.n
+        half = plan.recover_map.j1.size
+        free = replace(
+            plan.recover_map,
+            w11=np.ones(half, dtype=np.int64),
+            w12=np.full(half, q - 1),  # -1, free sign flip
+            w21=np.zeros(half, dtype=np.int64),
+            w22=np.ones(half, dtype=np.int64),
+        )
+        assert replace(plan, recover_map=free).cost()["recover"] == (n, 0)
+        w22 = free.w22.copy()
+        w22[0] = 3
+        costly = replace(free, w22=w22)
+        assert replace(plan, recover_map=costly).cost()["recover"] == (n, 1)
 
     def test_vector_helpers(self):
-        f = PrimeField(7)
-        c = OpCounter(phase="download")
-        x = np.array([1, 2, 3, 4])
-        y = np.array([6, 5, 4, 3])
-        assert f.vec_add(x, y, c).tolist() == [0, 0, 0, 0]
-        assert c.adds == 4
-        f.vec_sub(x, y, c)
-        assert c.adds == 8
-        assert c.muls == 0
+        # folding one payload into u1 and u2 is two length-N/2 vector sums
+        plan = demo_plan(3, 1)
+        plan = replace(plan, cancel_diagonals=free_cancel(plan))
+        n = plan.params.n
+        assert len(plan.cancel_nodes) == 2
+        for m in range(len(plan.cancel_nodes) + 1):
+            fewer = replace(plan, cancel_nodes=plan.cancel_nodes[:m])
+            assert fewer.cost()["cancel"] == (m * n, 0)
 
     def test_diag_mul_counts_only_costly_constants(self):
-        f = PrimeField(7)
-        c = OpCounter(phase="cancel")
-        consts = np.array([0, 1, 6, 3, 5])
-        x = np.array([2, 2, 2, 2, 2])
-        out = f.diag_mul(consts, x, c)
-        assert out.tolist() == [0, 2, 5, 6, 3]
-        # only 3 and 5 cost a multiplication
-        assert (c.adds, c.muls) == (0, 2)
-
-    def test_mat_vec_counting(self):
-        f = PrimeField(7)
-        c = OpCounter(phase="recover")
-        m = np.array(
-            [
-                [1, 1, 0, 0],  # 1 add, 0 mul
-                [0, 0, 0, 0],  # empty row: nothing
-                [3, 0, 0, 5],  # 1 add, 2 mul
-                [0, 6, 0, 0],  # single entry, free sign flip
-            ]
-        )
-        x = np.array([1, 2, 3, 4])
-        out = f.mat_vec(m, x, c)
-        assert out.tolist() == [(1 + 2) % 7, 0, (3 + 20) % 7, (6 * 2) % 7]
-        assert (c.adds, c.muls) == (2, 2)
-
-    @given(st.data())
-    def test_mat_vec_matches_numpy(self, data):
-        q = data.draw(st.sampled_from(SMALL_PRIMES))
-        f = PrimeField(q)
-        n = data.draw(st.integers(1, 6))
-        m = data.draw(st.integers(1, 6))
-        mat = np.array(
-            data.draw(
-                st.lists(
-                    st.lists(st.integers(0, q - 1), min_size=m, max_size=m),
-                    min_size=n,
-                    max_size=n,
-                )
-            )
-        )
-        vec = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m)))
-        assert np.array_equal(f.mat_vec(mat, vec), mat @ vec % q)
+        plan = demo_plan(2, 4)  # parity-2 repair: helpers premultiply
+        q = plan.params.q
+        assert q == 7
+        ones = {
+            l: HelperTask(t.matrix, None if t.premultiply is None else np.ones_like(t.premultiply))
+            for l, t in plan.helper_matrices.items()
+        }
+        base = replace(plan, helper_matrices=ones).cost()["download"]
+        assert base[1] == 0
+        consts = np.array([0, 1, 6, 3, 5, 1, 1, 1])
+        task = HelperTask(ones[1].matrix, consts)
+        x = np.full(8, 2)
+        assert np.array_equal(task.payload(x, q), task.matrix.apply([0, 2, 5, 6, 3, 2, 2, 2], q))
+        cost = replace(plan, helper_matrices={**ones, 1: task}).cost()["download"]
+        # only 3 and 5 cost a multiplication, and scaling adds nothing
+        assert cost == (base[0], 2)
 
 
 class TestLinearAlgebra:
@@ -172,26 +173,3 @@ class TestLinearAlgebra:
         assert np.array_equal(vals * f.inv_vec(vals) % 7, np.ones(6, dtype=np.int64))
         with pytest.raises(ZeroDivisionError):
             f.inv_vec(np.array([1, 0]))
-
-
-class TestOpCounter:
-    def test_phases_frozen(self):
-        assert PHASES == ("download", "cancel", "recover", "other")
-
-    def test_rejects_unknown_phase(self):
-        with pytest.raises(ValueError):
-            OpCounter(phase="upload")
-
-    def test_merge_same_phase(self):
-        a = OpCounter(phase="cancel", adds=2, muls=1)
-        b = OpCounter(phase="cancel", adds=3, muls=4)
-        merged = a.merge(b)
-        assert (merged.phase, merged.adds, merged.muls) == ("cancel", 5, 5)
-
-    def test_merge_mixed_phase(self):
-        a = OpCounter(phase="cancel", adds=2)
-        b = OpCounter(phase="recover", muls=3)
-        assert a.merge(b).phase == "other"
-
-    def test_total(self):
-        assert OpCounter(phase="download", adds=2, muls=5).total == 7

@@ -6,6 +6,7 @@ import pytest
 
 from hadamard_msr import metering
 from hadamard_msr.codec import demo_params, search_params
+from hadamard_msr.repair import build_repair_plan
 from hadamard_msr.metering import (
     CSV_HEADER,
     BenchTable,
@@ -21,6 +22,83 @@ from hadamard_msr.metering import (
 # published reference, so only bounds are asserted there
 NEW_K2 = {1: (28, 17), 2: (28, 17), 3: (28, 15), 4: (28, 20)}
 NEW_K3 = {1: (80, 42), 2: (80, 42), 3: (80, 28), 4: (80, 44), 5: (80, 66)}
+
+
+# Per-phase ((download adds, muls), (cancel ...), (recover ...)) of one chunk,
+# captured from the instrumented executor that counted every field operation
+# as it ran, before counting moved into RepairPlan.cost().  Keys: (profile,
+# k, node, strategy); "demo" is demo_params(k), "search" is search_params(k).
+PHASE_COUNTS = {
+    ("demo", 2, 1, "new"): ((12, 0), (8, 3), (8, 14)),
+    ("demo", 2, 1, "original"): ((60, 0), (16, 4), (56, 24)),
+    ("demo", 2, 2, "new"): ((12, 0), (8, 3), (8, 14)),
+    ("demo", 2, 2, "original"): ((60, 0), (16, 4), (56, 24)),
+    ("demo", 2, 3, "new"): ((12, 0), (8, 1), (8, 14)),
+    ("demo", 2, 3, "original"): ((60, 0), (16, 0), (56, 24)),
+    ("demo", 2, 4, "new"): ((12, 12), (8, 2), (8, 6)),
+    ("demo", 2, 4, "original"): ((60, 12), (20, 16), (56, 56)),
+    ("demo", 3, 1, "new"): ((32, 0), (32, 14), (16, 28)),
+    ("demo", 3, 1, "original"): ((224, 0), (64, 32), (240, 96)),
+    ("demo", 3, 2, "new"): ((32, 0), (32, 14), (16, 28)),
+    ("demo", 3, 2, "original"): ((224, 0), (64, 32), (240, 96)),
+    ("demo", 3, 3, "new"): ((32, 0), (32, 12), (16, 16)),
+    ("demo", 3, 3, "original"): ((224, 0), (64, 32), (240, 224)),
+    ("demo", 3, 4, "new"): ((32, 0), (32, 12), (16, 32)),
+    ("demo", 3, 4, "original"): ((224, 0), (64, 48), (240, 224)),
+    ("demo", 3, 5, "new"): ((32, 40), (32, 14), (16, 12)),
+    ("demo", 3, 5, "original"): ((224, 40), (80, 32), (240, 224)),
+    ("search", 4, 1, "new"): ((80, 0), (96, 44), (32, 56)),
+    ("search", 4, 1, "original"): ((720, 0), (192, 96), (992, 1024)),
+    ("search", 4, 2, "new"): ((80, 0), (96, 44), (32, 56)),
+    ("search", 4, 2, "original"): ((720, 0), (192, 96), (992, 1024)),
+    ("search", 4, 3, "new"): ((80, 0), (96, 40), (32, 32)),
+    ("search", 4, 3, "original"): ((720, 0), (192, 96), (992, 896)),
+    ("search", 4, 4, "new"): ((80, 0), (96, 40), (32, 32)),
+    ("search", 4, 4, "original"): ((720, 0), (192, 96), (992, 896)),
+    ("search", 4, 5, "new"): ((80, 0), (96, 36), (32, 64)),
+    ("search", 4, 5, "original"): ((720, 0), (192, 144), (992, 384)),
+    ("search", 4, 6, "new"): ((80, 112), (96, 36), (32, 24)),
+    ("search", 4, 6, "original"): ((720, 112), (240, 96), (992, 1024)),
+    ("search", 5, 1, "new"): ((192, 0), (256, 112), (64, 128)),
+    ("search", 5, 1, "original"): ((2112, 0), (512, 224), (4032, 3584)),
+    ("search", 5, 2, "new"): ((192, 0), (256, 112), (64, 128)),
+    ("search", 5, 2, "original"): ((2112, 0), (512, 224), (4032, 3584)),
+    ("search", 5, 3, "new"): ((192, 0), (256, 120), (64, 112)),
+    ("search", 5, 3, "original"): ((2112, 0), (512, 192), (4032, 3584)),
+    ("search", 5, 4, "new"): ((192, 0), (256, 120), (64, 112)),
+    ("search", 5, 4, "original"): ((2112, 0), (512, 192), (4032, 3584)),
+    ("search", 5, 5, "new"): ((192, 0), (256, 112), (64, 128)),
+    ("search", 5, 5, "original"): ((2112, 0), (512, 192), (4032, 4096)),
+    ("search", 5, 6, "new"): ((192, 0), (256, 120), (64, 128)),
+    ("search", 5, 6, "original"): ((2112, 0), (512, 224), (4032, 3584)),
+    ("search", 5, 7, "new"): ((192, 288), (256, 96), (64, 64)),
+    ("search", 5, 7, "original"): ((2112, 288), (640, 512), (4032, 3584)),
+    ("search", 6, 1, "new"): ((448, 0), (640, 288), (128, 256)),
+    ("search", 6, 1, "original"): ((5824, 0), (1280, 576), (16256, 14336)),
+    ("search", 6, 2, "new"): ((448, 0), (640, 288), (128, 256)),
+    ("search", 6, 2, "original"): ((5824, 0), (1280, 576), (16256, 14336)),
+    ("search", 6, 3, "new"): ((448, 0), (640, 304), (128, 224)),
+    ("search", 6, 3, "original"): ((5824, 0), (1280, 512), (16256, 16384)),
+    ("search", 6, 4, "new"): ((448, 0), (640, 304), (128, 224)),
+    ("search", 6, 4, "original"): ((5824, 0), (1280, 512), (16256, 16384)),
+    ("search", 6, 5, "new"): ((448, 0), (640, 288), (128, 256)),
+    ("search", 6, 5, "original"): ((5824, 0), (1280, 512), (16256, 14336)),
+    ("search", 6, 6, "new"): ((448, 0), (640, 288), (128, 256)),
+    ("search", 6, 6, "original"): ((5824, 0), (1280, 512), (16256, 14336)),
+    ("search", 6, 7, "new"): ((448, 0), (640, 272), (128, 256)),
+    ("search", 6, 7, "original"): ((5824, 0), (1280, 576), (16256, 14336)),
+    ("search", 6, 8, "new"): ((448, 704), (640, 256), (128, 128)),
+    ("search", 6, 8, "original"): ((5824, 704), (1600, 1280), (16256, 14336)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PHASE_COUNTS), ids=lambda key: "-".join(map(str, key)))
+def test_plan_cost_matches_instrumented_counts(key, searched_params):
+    profile, k, node, strategy = key
+    params = demo_params(k) if profile == "demo" else searched_params[k]
+    cost = build_repair_plan(params, node, strategy).cost()
+    assert tuple(cost.values()) == PHASE_COUNTS[key]
+    assert list(cost) == ["download", "cancel", "recover"]
 
 
 class TestBounds:
@@ -110,7 +188,7 @@ class TestMeasuredCounts:
         assert rep.downloaded_symbols == 4 * 8
 
     def test_broken_repair_voids_the_count(self, demo_k2, monkeypatch):
-        def sabotage(plan, survivors, counters=None):
+        def sabotage(plan, survivors):
             return np.zeros(plan.params.n, dtype=np.int64)
 
         monkeypatch.setattr(metering, "execute_repair", sabotage)

@@ -5,15 +5,13 @@ import pytest
 
 from hadamard_msr.codec import CodeParams, demo_params, encode
 from hadamard_msr.design import sylvester
-from hadamard_msr.field import OpCounter
 from hadamard_msr.repair import (
     STANDARD,
     STRATEGIES,
     STRATEGY_BASIS,
     SYLVESTER,
-    Basis,
     PairRecover,
-    RepairCounters,
+    RepairMatrix,
     _plan_pieces,
     build_repair_plan,
     execute_repair,
@@ -24,14 +22,6 @@ from hadamard_msr.repair import (
 )
 
 from conftest import params_for
-
-
-def std(k):
-    return Basis(STANDARD, k)
-
-
-def syl(k):
-    return Basis(SYLVESTER, k)
 
 # dense selector matrices for the k=2 code, frozen by hand: each row picks
 # two coordinates of a length-8 node vector
@@ -87,30 +77,30 @@ P2_ST_DENSE = np.array(
 
 class TestSelectorMatricesK2:
     def test_systematic(self):
-        assert np.array_equal(systematic_repair_matrix(2, 1, std(2)).dense(), S1_DENSE)
-        assert np.array_equal(systematic_repair_matrix(2, 2, std(2)).dense(), S2_DENSE)
+        assert np.array_equal(systematic_repair_matrix(2, 1, STANDARD).dense(), S1_DENSE)
+        assert np.array_equal(systematic_repair_matrix(2, 2, STANDARD).dense(), S2_DENSE)
 
     def test_parity1_pair(self):
-        s, s_tilde = parity1_repair_matrices(2, std(2))
+        s, s_tilde = parity1_repair_matrices(2, STANDARD)
         assert np.array_equal(s.dense(), P1_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P1_ST_DENSE)
 
     def test_parity2_pair(self):
-        s, s_tilde = parity2_repair_matrices(2, std(2))
+        s, s_tilde = parity2_repair_matrices(2, STANDARD)
         assert np.array_equal(s.dense(), P2_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P2_ST_DENSE)
 
     def test_sylvester_variant_is_transformed(self):
         h = sylvester(2)
-        dense_std = systematic_repair_matrix(2, 1, std(2)).dense()
-        dense_syl = systematic_repair_matrix(2, 1, syl(2)).dense()
+        dense_std = systematic_repair_matrix(2, 1, STANDARD).dense()
+        dense_syl = systematic_repair_matrix(2, 1, SYLVESTER).dense()
         assert np.array_equal(dense_syl, h @ dense_std)
 
 
-def all_matrices(k, basis):
-    out = [systematic_repair_matrix(k, i, basis) for i in range(1, k + 1)]
-    out.extend(parity1_repair_matrices(k, basis))
-    out.extend(parity2_repair_matrices(k, basis))
+def all_matrices(k, kind):
+    out = [systematic_repair_matrix(k, i, kind) for i in range(1, k + 1)]
+    out.extend(parity1_repair_matrices(k, kind))
+    out.extend(parity2_repair_matrices(k, kind))
     return out
 
 
@@ -118,7 +108,7 @@ class TestSelectorStructure:
     @pytest.mark.parametrize("k", range(2, 6))
     def test_every_coordinate_hit_twice(self, k):
         n = 1 << (k + 1)
-        for m in all_matrices(k, std(k)):
+        for m in all_matrices(k, STANDARD):
             counts = np.bincount(m.index, minlength=n // 2)
             assert counts.tolist() == [2] * (n // 2)
             assert set(np.unique(m.sign)) <= {-1, 1}
@@ -128,7 +118,7 @@ class TestSelectorStructure:
     def test_full_rank_over_rationals(self, k):
         # stacking the pair selectors for a node spans the whole space
         n = 1 << (k + 1)
-        s, s_tilde = parity1_repair_matrices(k, std(k))
+        s, s_tilde = parity1_repair_matrices(k, STANDARD)
         stacked = np.vstack([s.dense(), s_tilde.dense()])
         assert np.linalg.matrix_rank(stacked.astype(float)) == n
 
@@ -136,25 +126,26 @@ class TestSelectorStructure:
     @pytest.mark.parametrize("k", range(2, 6))
     def test_apply_matches_dense(self, k, basis_kind, rng):
         q = 13
-        basis = Basis(kind=basis_kind, k=k)
-        for m in all_matrices(k, basis):
+        for m in all_matrices(k, basis_kind):
             vec = rng.integers(0, q, size=m.n, dtype=np.int64)
             assert np.array_equal(m.apply(vec, q), m.dense(q) @ vec % q)
 
-    def test_download_cost_per_helper(self):
+    def test_download_cost_per_helper(self, searched_params):
         # standard basis: one add per output row; sylvester: two butterfly
-        # transforms plus a combining pass
+        # transforms plus a combining pass; no helper multiplies when a
+        # systematic node fails
         for k in (2, 3, 4):
-            n = 1 << (k + 1)
-            vec = np.arange(n) % 7
-            m = systematic_repair_matrix(k, 1, std(k))
-            c = OpCounter(phase="download")
-            m.apply(vec, 7, c)
-            assert (c.adds, c.muls) == (n // 2, 0)
-            m = systematic_repair_matrix(k, 1, syl(k))
-            c = OpCounter(phase="download")
-            m.apply(vec, 7, c)
-            assert (c.adds, c.muls) == ((2 * k + 1) * n // 2, 0)
+            params = params_for(k, searched_params)
+            n, helpers = params.n, k + 1
+            new = build_repair_plan(params, 1, "new").cost()["download"]
+            assert new == (helpers * n // 2, 0)
+            original = build_repair_plan(params, 1, "original").cost()["download"]
+            assert original == (helpers * (2 * k + 1) * n // 2, 0)
+
+    def test_unknown_kind_rejected(self):
+        m = systematic_repair_matrix(2, 1, STANDARD)
+        with pytest.raises(ValueError, match="basis kind"):
+            RepairMatrix("hadamard", m.index, m.sign)
 
 
 class TestPlans:
@@ -208,14 +199,10 @@ class TestPlans:
             b = execute_repair(build_repair_plan(demo_k3, node, "original"), word)
             assert np.array_equal(a, b)
 
-    def test_counter_phases_populated(self, demo_k2, rng):
-        word = encode(demo_k2, rng.integers(0, 7, size=(2, 8), dtype=np.int64))
-        plan = build_repair_plan(demo_k2, 1, "new")
-        counters = RepairCounters()
-        execute_repair(plan, word, counters)
-        adds, muls = counters.by_phase()
-        assert set(adds) == {"download", "cancel", "recover"}
-        assert adds["download"] > 0 and adds["cancel"] > 0 and adds["recover"] > 0
+    def test_counter_phases_populated(self, demo_k2):
+        cost = build_repair_plan(demo_k2, 1, "new").cost()
+        assert list(cost) == ["download", "cancel", "recover"]
+        assert all(adds > 0 for adds, _ in cost.values())
 
     def test_unknown_strategy_rejected(self, demo_k2):
         with pytest.raises(ValueError):
@@ -236,10 +223,10 @@ class TestPlans:
         # recovering from [S g; S~ D g] must reproduce g: R @ stacked = I
         q = demo_k2.q
         for strategy in STRATEGIES:
-            basis = Basis(STRATEGY_BASIS[strategy], demo_k2.k)
+            kind = STRATEGY_BASIS[strategy]
             for node in range(1, 5):
                 plan = build_repair_plan(demo_k2, node, strategy)
-                s, s_tilde, _, _, _, diag, _, _ = _plan_pieces(demo_k2, node, basis)
+                s, s_tilde, _, _, _, diag, _, _ = _plan_pieces(demo_k2, node, kind)
                 r = plan.recover_dense() % q
                 stacked = np.vstack(
                     [s.dense(q), s_tilde.dense(q) * diag[None, :] % q]
@@ -247,6 +234,62 @@ class TestPlans:
                 assert np.array_equal(
                     r @ stacked % q, np.eye(demo_k2.n, dtype=np.int64)
                 )
+
+
+def costly(consts, q):
+    """Entries a multiplication is charged for: all but 0, 1 and q-1."""
+    return sum(int(c) % q not in (0, 1, q - 1) for c in np.ravel(consts))
+
+
+class TestPlanCost:
+    """The counting convention of RepairPlan.cost() against plain-loop oracles."""
+
+    def test_sums_cost_one_add_per_symbol(self, demo_k3):
+        # helpers sum one pair per row; cancel folds each interfering payload
+        # into both u1 and u2; recover combines two half-vectors per output
+        n = demo_k3.n
+        for node in range(1, 6):
+            plan = build_repair_plan(demo_k3, node, "new")
+            cost = plan.cost()
+            assert cost["download"][0] == len(plan.helper_matrices) * n // 2
+            assert cost["cancel"][0] == len(plan.cancel_nodes) * n
+            assert cost["recover"][0] == n
+
+    def test_free_constants_multiply_free(self, demo_k3):
+        q = demo_k3.q
+        free_seen = 0
+        for node in range(1, 6):
+            plan = build_repair_plan(demo_k3, node, "new")
+            r = plan.recover_map
+            premultiplied = [
+                t.premultiply for t in plan.helper_matrices.values() if t.premultiply is not None
+            ]
+            diagonals = [plan.cancel_diagonals[l] for l in plan.cancel_nodes]
+            weights = [r.w11, r.w12, r.w21, r.w22]
+            cost = plan.cost()
+            assert cost["download"][1] == sum(costly(p, q) for p in premultiplied)
+            assert cost["cancel"][1] == sum(costly(d, q) for d in diagonals)
+            assert cost["recover"][1] == sum(costly(w, q) for w in weights)
+            constants = np.concatenate(premultiplied + diagonals + weights) % q
+            free_seen += int(np.isin(constants, (0, 1, q - 1)).sum())
+        assert free_seen > 0  # the rule was exercised, not vacuous
+
+    def test_dense_rows_cost_nnz_minus_one(self, demo_k3):
+        q, n = demo_k3.q, demo_k3.n
+
+        def dense(m):
+            adds = sum(max(int(np.count_nonzero(row)) - 1, 0) for row in m)
+            return adds, costly(m, q)
+
+        for node in range(1, 6):
+            plan = build_repair_plan(demo_k3, node, "original")
+            cancel = [dense(plan.cancel_dense[l]) for l in plan.cancel_nodes]
+            cost = plan.cost()
+            assert cost["cancel"] == (
+                len(cancel) * n + sum(a for a, _ in cancel),
+                sum(m for _, m in cancel),
+            )
+            assert cost["recover"] == dense(plan.recover_map)
 
 
 class TestRankConditions:
