@@ -11,7 +11,8 @@ import sys
 
 from . import cluster
 from .codec import DEMO_COEFFICIENTS, demo_params, search_params
-from .repair import STRATEGIES
+from .metering import cmd_bench
+from .repair import STRATEGIES, verify_params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,8 +37,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_kill(args) -> int:
     state = cluster.cmd_kill(args.cluster, args.node, force=args.force)
-    dead = state.dead_nodes()
-    print(f"killed node {args.node}; dead nodes now {dead}")
+    print(f"killed node {args.node}; dead nodes now {list(state.dead)}")
     return 0
 
 
@@ -72,7 +72,7 @@ def _cmd_bench(args) -> int:
     strategies = tuple(args.strategy) if args.strategy else tuple(STRATEGIES)
     if args.csv and len(k_values) != 1:
         raise cluster.UsageError("--csv covers a single code; pass exactly one --k")
-    tables = cluster.cmd_bench(k_values, strategies)
+    tables = cmd_bench(k_values, strategies)
     for table in tables:
         print(table.csv if args.csv else table.text)
     return 0
@@ -96,9 +96,9 @@ def _cmd_verify(args) -> int:
                 params = search_params(k, q)
         except ValueError as exc:
             raise cluster.UsageError(str(exc)) from None
-        ok, lines = cluster.cmd_verify(params=params)
+        ok, lines = verify_params(params)
     elif args.cluster is not None:
-        ok, lines = cluster.cmd_verify(root=args.cluster)
+        ok, lines = cluster.cmd_verify(args.cluster)
     else:
         raise cluster.UsageError("verify needs a cluster directory or --params k,q")
     for line in lines:

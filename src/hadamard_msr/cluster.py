@@ -1,10 +1,14 @@
-"""File-backed simulated storage cluster and the operations behind the CLI.
+"""File-backed simulated storage cluster: shard and manifest format, and the
+encode, kill, repair, decode and verify commands behind the CLI.
 
 A cluster is a directory holding a plain-text manifest plus one directory
 per node (node-01 .. node-{k+2}); each node directory holds one shard file
-per chunk.  Killing a node renames its shards to tombstones; repair rebuilds
-them from the other nodes' shards, reading exactly N/2 symbols' worth of
-payload from each helper; decode tolerates any two dead nodes.
+per chunk.  A node is dead when any of its chunk-XXXXXX.shard files is
+missing; ClusterState.load lists each node directory once and records the
+dead nodes, so a command reads liveness once and not per shard.  Killing a
+node renames its shards to tombstones; repair rebuilds them from the other
+nodes' shards, reading exactly N/2 symbols' worth of payload from each
+helper; decode tolerates any two dead nodes.
 
 Errors carry the process exit code the CLI should use: 1 for usage problems,
 2 for integrity/verification failures, 3 when the data is unrecoverable.
@@ -12,25 +16,16 @@ Errors carry the process exit code the CLI should use: 1 for usage problems,
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import codec
-from .codec import (
-    CodeParams,
-    DEMO_COEFFICIENTS,
-    bits_per_symbol,
-    coding_matrix,
-    coefficient_violations,
-    demo_params,
-    inverse_coding_matrix,
-    search_params,
-)
-from .metering import BenchTable, emit_table
-from .repair import STRATEGIES, HelperTask, build_repair_plan, verify_rank_conditions
+from .codec import CodeParams, DEMO_COEFFICIENTS, bits_per_symbol, demo_params, search_params
+from .repair import STRATEGIES, HelperTask, build_repair_plan, verify_params
 
 MAGIC = b"HMSR"
 FORMAT_VERSION = 1
@@ -172,23 +167,44 @@ class Manifest:
         )
 
     def validated_params(self) -> CodeParams:
-        problems = coefficient_violations(
-            self.params.k, self.params.q, self.params.a, self.params.b
-        )
-        if problems:
-            raise IntegrityError("manifest coefficients invalid: " + "; ".join(problems))
-        return self.params
+        p = self.params
+        try:
+            return CodeParams(p.k, p.q, p.a, p.b)
+        except ValueError as exc:
+            raise IntegrityError(f"manifest coefficients invalid: {exc}") from None
+
+
+def _shard_name(chunk: int) -> str:
+    return f"chunk-{chunk:06d}.shard"
 
 
 @dataclass(frozen=True)
 class ClusterState:
     root: Path
     manifest: Manifest
+    dead: tuple = ()  # ids of the nodes missing any shard, ascending
 
     @classmethod
     def load(cls, root) -> "ClusterState":
+        """Read the manifest and list each node directory once for liveness.
+
+        A node is dead when any expected shard file is missing, so a node of
+        a cluster with zero chunks is alive; other files are ignored.
+        """
         root = Path(root)
-        return cls(root=root, manifest=Manifest.load(root))
+        state = cls(root=root, manifest=Manifest.load(root))
+        chunks = range(state.manifest.chunk_count)
+        dead = []
+        for node in range(1, state.params.k + 3):
+            try:
+                with os.scandir(state.node_dir(node)) as entries:
+                    present = {e.name for e in entries if e.is_file()}
+            except (FileNotFoundError, NotADirectoryError):
+                present = set()
+            # the length test first: a tampered chunk_count may be huge
+            if len(present) < len(chunks) or any(_shard_name(c) not in present for c in chunks):
+                dead.append(node)
+        return replace(state, dead=tuple(dead))
 
     @property
     def params(self) -> CodeParams:
@@ -198,23 +214,10 @@ class ClusterState:
         return self.root / f"node-{node:02d}"
 
     def shard_path(self, node: int, chunk: int) -> Path:
-        return self.node_dir(node) / f"chunk-{chunk:06d}.shard"
+        return self.node_dir(node) / _shard_name(chunk)
 
     def dead_path(self, node: int, chunk: int) -> Path:
-        return self.shard_path(node, chunk).with_name(
-            self.shard_path(node, chunk).name + DEAD_SUFFIX
-        )
-
-    def node_alive(self, node: int) -> bool:
-        return all(
-            self.shard_path(node, c).is_file() for c in range(self.manifest.chunk_count)
-        )
-
-    def alive_nodes(self) -> list:
-        return [n for n in range(1, self.params.k + 3) if self.node_alive(n)]
-
-    def dead_nodes(self) -> list:
-        return [n for n in range(1, self.params.k + 3) if not self.node_alive(n)]
+        return self.node_dir(node) / (_shard_name(chunk) + DEAD_SUFFIX)
 
     def check_node(self, node: int) -> None:
         if not 1 <= node <= self.params.k + 2:
@@ -265,12 +268,15 @@ def cmd_encode(
 
 
 def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
-    """Tombstone a node's shards, refusing to pass the two-failure limit."""
+    """Tombstone a node's shards, refusing to pass the two-failure limit.
+
+    Returns the cluster state with the node added to its dead set.
+    """
     state = ClusterState.load(root)
     state.check_node(node)
     if state.manifest.chunk_count == 0:
         raise UsageError("cluster holds no chunks; nothing to kill")
-    dead = state.dead_nodes()
+    dead = state.dead
     if node in dead:
         raise UsageError(f"node {node} is already dead")
     if len(dead) >= 2 and not force:
@@ -280,7 +286,7 @@ def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
         )
     for chunk in range(state.manifest.chunk_count):
         state.shard_path(node, chunk).rename(state.dead_path(node, chunk))
-    return state
+    return replace(state, dead=tuple(sorted((*dead, node))))
 
 
 def read_repair_payload(
@@ -324,18 +330,17 @@ def cmd_repair(
     if strategy not in STRATEGIES:
         raise UsageError(f"unknown strategy {strategy!r}")
     params = state.manifest.validated_params()
-    if state.node_alive(node):
+    if node not in state.dead:
         raise UsageError(f"node {node} is alive; nothing to repair")
-    dead_helpers = [n for n in state.dead_nodes() if n != node]
+    dead_helpers = [n for n in state.dead if n != node]
     if dead_helpers:
-        if len(state.alive_nodes()) >= params.k:
+        alive = params.k + 2 - len(state.dead)
+        if alive >= params.k:
             raise IntegrityError(
                 f"helper node(s) {dead_helpers} are dead; single-node repair needs "
                 "all other nodes alive - rebuild via decode instead"
             )
-        raise UnrecoverableError(
-            f"only {len(state.alive_nodes())} nodes alive; data is unrecoverable"
-        )
+        raise UnrecoverableError(f"only {alive} nodes alive; data is unrecoverable")
     plan = build_repair_plan(params, node, strategy)
     chunks = state.manifest.chunk_count
     shipped = dict.fromkeys(plan.helper_matrices, 0)
@@ -346,9 +351,7 @@ def cmd_repair(
             shipped[helper] += int(np.asarray(payloads[helper]).size)
         restored = plan.assemble(payloads)
         write_shard(state.shard_path(node, chunk), params, node, chunk, restored)
-        dead = state.dead_path(node, chunk)
-        if dead.exists():
-            dead.unlink()
+        state.dead_path(node, chunk).unlink(missing_ok=True)
     cost = plan.cost()
     return RepairSummary(
         node=node,
@@ -365,7 +368,7 @@ def cmd_decode(root, out_path=None) -> bytes:
     """Reconstruct the original file from any >= k live nodes."""
     state = ClusterState.load(root)
     params = state.manifest.validated_params()
-    alive = state.alive_nodes()
+    alive = [n for n in range(1, params.k + 3) if n not in state.dead]
     if len(alive) < params.k:
         raise UnrecoverableError(
             f"only {len(alive)} of {params.k + 2} nodes alive; need at least {params.k}"
@@ -389,126 +392,20 @@ def cmd_decode(root, out_path=None) -> bytes:
     return data
 
 
-def _verify_params(params: CodeParams, strategies, lines: list) -> bool:
-    ok = True
-    problems = coefficient_violations(params.k, params.q, params.a, params.b)
-    if problems:
-        ok = False
-        for p in problems:
-            lines.append(f"FAIL coefficient constraint: {p}")
-    else:
-        lines.append(f"ok: coefficient constraints hold for k={params.k}, q={params.q}")
-
+def cmd_verify(root) -> tuple[bool, list]:
+    """Grade a cluster's availability and parameters; returns (ok, report lines)."""
     try:
-        diagonals = [coding_matrix(params, i) for i in range(1, params.k + 1)]
-        if any(int(d.min()) == 0 for d in diagonals):
-            ok = False
-            lines.append("FAIL coding matrices: zero entry found")
-        else:
-            lines.append("ok: coding matrix entries all nonzero")
-        distinct = all(
-            np.all(diagonals[i] != diagonals[j])
-            for i in range(params.k)
-            for j in range(i + 1, params.k)
-        )
-        if distinct:
-            lines.append("ok: coding matrices pairwise distinct at every entry")
-        else:
-            ok = False
-            lines.append("FAIL coding matrices: shared entry between two nodes")
-        inverses_ok = True
-        for i in range(1, params.k + 1):
-            product = coding_matrix(params, i) * inverse_coding_matrix(params, i) % params.q
-            if not np.all(product == 1):
-                ok = inverses_ok = False
-                lines.append(f"FAIL inverse coding matrix {i}: product not identity")
-        if inverses_ok:
-            lines.append("ok: inverse coding matrices verified")
-    except (ValueError, ZeroDivisionError) as exc:
-        ok = False
-        lines.append(f"FAIL coding matrices: {exc}")
-
-    rng = np.random.default_rng(20240915)
-    parts = rng.integers(0, params.q, size=(params.k, params.n), dtype=np.int64)
-    word = codec.encode(params, parts)
-    nodes = list(range(1, params.k + 3))
-    patterns = [()] + [(x,) for x in nodes] + [
-        (x, y) for x in nodes for y in nodes if x < y
+        state = ClusterState.load(root)
+    except ClusterError as exc:
+        return False, [f"FAIL manifest: {exc}"]
+    lines = [
+        f"cluster {state.root}: {state.manifest.chunk_count} chunks, "
+        f"{state.manifest.original_length} bytes"
     ]
-    bad = []
-    for pattern in patterns:
-        available = {n: word[n - 1] for n in nodes if n not in pattern}
-        try:
-            if not np.array_equal(codec.decode(params, available), word):
-                bad.append(pattern)
-        except (ValueError, ZeroDivisionError):
-            bad.append(pattern)
-    if bad:
-        ok = False
-        lines.append(f"FAIL erasure decoding: patterns {bad} do not round-trip")
-    else:
-        lines.append(
-            f"ok: all {len(patterns)} erasure patterns (up to two nodes) decode exactly"
-        )
-
-    for strategy in strategies:
-        report = verify_rank_conditions(params, strategy)
-        good = sum(c.ok for c in report.conditions)
-        if report.ok:
-            lines.append(
-                f"ok: rank conditions ({strategy}): {good}/{len(report.conditions)} pass"
-            )
-        else:
-            ok = False
-            for c in report.failures():
-                lines.append(
-                    f"FAIL rank condition ({strategy}): node {c.failed} {c.label}: "
-                    f"expected rank {c.expected_rank}, pairs "
-                    f"{'consistent' if c.pair_ok else 'inconsistent'}, "
-                    f"elimination rank {c.elim_rank}"
-                )
-    return ok
-
-
-def cmd_verify(
-    root=None, params: CodeParams | None = None, strategies=STRATEGIES
-) -> tuple[bool, list]:
-    """Grade a cluster or a raw parameter set; returns (ok, report lines)."""
-    lines: list = []
-    if (root is None) == (params is None):
-        raise UsageError("verify needs a cluster directory or parameters, not both")
-    if root is not None:
-        try:
-            state = ClusterState.load(root)
-        except ClusterError as exc:
-            return False, [f"FAIL manifest: {exc}"]
-        params = state.params
-        lines.append(
-            f"cluster {state.root}: {state.manifest.chunk_count} chunks, "
-            f"{state.manifest.original_length} bytes"
-        )
-        dead = state.dead_nodes()
-        if dead:
-            lines.append(f"note: dead nodes {dead}")
-            if len(dead) > 2:
-                lines.append(f"FAIL availability: {len(dead)} nodes dead, data lost")
-                return False, lines
-    assert params is not None
-    lines.append(
-        f"parameters: k={params.k} q={params.q} "
-        f"a={','.join(map(str, params.a))} b={','.join(map(str, params.b))}"
-    )
-    ok = _verify_params(params, strategies, lines)
-    return ok, lines
-
-
-def cmd_bench(k_values, strategies=STRATEGIES, prefer_units: bool = False) -> list[BenchTable]:
-    """Measured cost tables for each requested k (demo profiles where defined)."""
-    tables = []
-    for k in k_values:
-        if k in DEMO_COEFFICIENTS and not prefer_units:
-            params = demo_params(k)
-        else:
-            params = search_params(k, prefer_units=prefer_units)
-        tables.append(emit_table(params, tuple(strategies)))
-    return tables
+    if state.dead:
+        lines.append(f"note: dead nodes {list(state.dead)}")
+        if len(state.dead) > 2:
+            lines.append(f"FAIL availability: {len(state.dead)} nodes dead, data lost")
+            return False, lines
+    ok, param_lines = verify_params(state.params)
+    return ok, lines + param_lines

@@ -113,43 +113,22 @@ class CodeParams:
         return PrimeField(self.q)
 
 
-def _candidate_pairs(k: int, q: int, prefer_units: bool) -> list[tuple[int, int]]:
+def find_coefficients(k: int, q: int) -> tuple[tuple, tuple] | None:
+    """First valid (a, b) assignment in deterministic search order.
+
+    Depth-first over positions 1..k, trying per-position candidate pairs in
+    lexicographic (a_i, b_i) order, so the result is the lexicographically
+    smallest valid (a_1, b_1, ..., a_k, b_k).  Returns None when no
+    assignment exists for this q.
+    """
+    if not is_prime(q) or q < 2 * k + 3:
+        raise ValueError(f"q must be a prime >= 2k+3 = {2 * k + 3}, got {q}")
     pairs = [
         (ai, bi)
         for ai in range(1, q)
         for bi in range(1, q)
         if (ai * ai - bi * bi) % q == q - 1
     ]
-    if prefer_units:
-        # Entry values of a_i X_i + b_i X_0 + I are s*a_i + t*b_i + 1 over the
-        # four sign combinations; favoring 0/+-1 values there shrinks the
-        # multiplication count of the cancel diagonals built from them.
-        def richness(pair):
-            ai, bi = pair
-            free = {0, 1, q - 1}
-            return sum(
-                (s * ai + t * bi + 1) % q in free for s in (1, -1) for t in (1, -1)
-            )
-
-        pairs.sort(key=lambda p: (-richness(p), p))
-    return pairs
-
-
-def find_coefficients(
-    k: int, q: int, prefer_units: bool = False
-) -> tuple[tuple, tuple] | None:
-    """First valid (a, b) assignment in deterministic search order.
-
-    Depth-first over positions 1..k, trying per-position candidate pairs in
-    lexicographic (a_i, b_i) order, so the default result is the
-    lexicographically smallest valid (a_1, b_1, ..., a_k, b_k).  With
-    prefer_units the per-position order instead favors pairs whose coding
-    matrix has the most 0/+-1 entries (tie-broken lexicographically).
-    Returns None when no assignment exists for this q.
-    """
-    if not is_prime(q) or q < 2 * k + 3:
-        raise ValueError(f"q must be a prime >= 2k+3 = {2 * k + 3}, got {q}")
-    pairs = _candidate_pairs(k, q, prefer_units)
 
     chosen: list[tuple[int, int]] = []
 
@@ -169,23 +148,21 @@ def find_coefficients(
     return tuple(p[0] for p in chosen), tuple(p[1] for p in chosen)
 
 
-def search_params(
-    k: int, q: int | None = None, prefer_units: bool = False
-) -> CodeParams:
+def search_params(k: int, q: int | None = None) -> CodeParams:
     """CodeParams for k, searching coefficients at q or at ascending primes.
 
     With q given, fails if no valid assignment exists there; otherwise scans
     odd primes upward from 2k+3 until one admits an assignment.
     """
     if q is not None:
-        found = find_coefficients(k, q, prefer_units)
+        found = find_coefficients(k, q)
         if found is None:
             raise ValueError(f"no valid coefficients exist for k={k}, q={q}")
         return CodeParams(k, q, *found)
     candidate = 2 * k + 3
     while candidate < 1 << 15:
         if is_prime(candidate):
-            found = find_coefficients(k, candidate, prefer_units)
+            found = find_coefficients(k, candidate)
             if found is not None:
                 return CodeParams(k, candidate, *found)
         candidate += 2
@@ -223,14 +200,19 @@ def inverse_coding_matrix(params: CodeParams, i: int) -> np.ndarray:
     return params.field.inv_vec(coding_matrix(params, i))
 
 
+def _with_parities(params: CodeParams, parts: np.ndarray) -> np.ndarray:
+    """Append both parities to reduced parts of shape (..., k, N)."""
+    parity1 = parts.sum(axis=-2, keepdims=True) % params.q
+    parity2 = (_coding_diagonals(params) * parts).sum(axis=-2, keepdims=True) % params.q
+    return np.concatenate([parts, parity1, parity2], axis=-2)
+
+
 def encode(params: CodeParams, parts) -> np.ndarray:
     """Full codeword (k+2, N) from systematic parts (k, N)."""
     parts = np.asarray(parts, dtype=np.int64) % params.q
     if parts.shape != (params.k, params.n):
         raise ValueError(f"parts must have shape {(params.k, params.n)}, got {parts.shape}")
-    parity1 = parts.sum(axis=0) % params.q
-    parity2 = (_coding_diagonals(params) * parts).sum(axis=0) % params.q
-    return np.concatenate([parts, parity1[None, :], parity2[None, :]])
+    return _with_parities(params, parts)
 
 
 def encode_blocks(params: CodeParams, blocks) -> np.ndarray:
@@ -240,12 +222,7 @@ def encode_blocks(params: CodeParams, blocks) -> np.ndarray:
         raise ValueError(
             f"blocks must have shape (chunks, {params.k}, {params.n}), got {blocks.shape}"
         )
-    chunks = blocks.shape[0]
-    out = np.empty((chunks, params.k + 2, params.n), dtype=np.int64)
-    out[:, : params.k] = blocks
-    out[:, params.k] = blocks.sum(axis=1) % params.q
-    out[:, params.k + 1] = (_coding_diagonals(params)[None, :, :] * blocks).sum(axis=1) % params.q
-    return out
+    return _with_parities(params, blocks)
 
 
 def decode(params: CodeParams, available: dict) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import DEMO_COEFFICIENTS, CodeParams, demo_params, encode
-from .repair import build_repair_plan, execute_repair
+from .codec import DEMO_COEFFICIENTS, CodeParams, demo_params, encode, search_params
+from .repair import STRATEGIES, build_repair_plan, execute_repair
 
 CSV_HEADER = "node,strategy,add,mul,add_bound,mul_bound,downloaded_symbols"
 
@@ -201,12 +201,23 @@ def emit_table(params: CodeParams, strategies: tuple = ("new", "original")) -> B
     return BenchTable(params=params, reports=tuple(reports))
 
 
+def cmd_bench(k_values, strategies=STRATEGIES) -> list[BenchTable]:
+    """Cost tables for each requested k: the demo profile where one exists,
+    searched coefficients otherwise."""
+    tables = []
+    for k in k_values:
+        params = demo_params(k) if k in DEMO_COEFFICIENTS else search_params(k)
+        tables.append(emit_table(params, tuple(strategies)))
+    return tables
+
+
 __all__ = [
     "CSV_HEADER",
     "BenchTable",
     "CostReport",
     "bound_formulas",
     "classify_node",
+    "cmd_bench",
     "emit_table",
     "measure_repair",
     "reference_counts",

@@ -1,4 +1,4 @@
-"""Single-node repair: matrices, plans, execution, cost, and rank verification.
+"""Single-node repair: matrices, plans, execution, cost, and verification.
 
 Every repair downloads exactly N/2 symbols from each of the k+1 surviving
 nodes: helper l applies a half-height repair matrix to its content (for the
@@ -23,7 +23,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import CodeParams, coding_matrix, inverse_coding_matrix
+from .codec import (
+    CodeParams,
+    coding_matrix,
+    coefficient_violations,
+    decode,
+    encode,
+    inverse_coding_matrix,
+)
 from .design import half_hadamard_apply, lemma2_partner, sylvester
 
 STANDARD = "standard"
@@ -506,3 +513,94 @@ def verify_rank_conditions(params: CodeParams, strategy: str = "new") -> RankRep
                 )
             )
     return RankReport(params=params, strategy=strategy, conditions=tuple(conditions))
+
+
+def verify_params(params: CodeParams, strategies=STRATEGIES) -> tuple[bool, list]:
+    """Grade a parameter set; returns (ok, report lines).
+
+    Checks the coefficient constraints, the coding matrices and their
+    inverses, that every erasure pattern of up to two nodes decodes exactly,
+    and each strategy's rank conditions.  Failures are reported, not raised.
+    """
+    lines = [
+        f"parameters: k={params.k} q={params.q} "
+        f"a={','.join(map(str, params.a))} b={','.join(map(str, params.b))}"
+    ]
+    ok = True
+    problems = coefficient_violations(params.k, params.q, params.a, params.b)
+    if problems:
+        ok = False
+        for p in problems:
+            lines.append(f"FAIL coefficient constraint: {p}")
+    else:
+        lines.append(f"ok: coefficient constraints hold for k={params.k}, q={params.q}")
+
+    try:
+        diagonals = [coding_matrix(params, i) for i in range(1, params.k + 1)]
+        if any(int(d.min()) == 0 for d in diagonals):
+            ok = False
+            lines.append("FAIL coding matrices: zero entry found")
+        else:
+            lines.append("ok: coding matrix entries all nonzero")
+        distinct = all(
+            np.all(diagonals[i] != diagonals[j])
+            for i in range(params.k)
+            for j in range(i + 1, params.k)
+        )
+        if distinct:
+            lines.append("ok: coding matrices pairwise distinct at every entry")
+        else:
+            ok = False
+            lines.append("FAIL coding matrices: shared entry between two nodes")
+        inverses_ok = True
+        for i in range(1, params.k + 1):
+            product = coding_matrix(params, i) * inverse_coding_matrix(params, i) % params.q
+            if not np.all(product == 1):
+                ok = inverses_ok = False
+                lines.append(f"FAIL inverse coding matrix {i}: product not identity")
+        if inverses_ok:
+            lines.append("ok: inverse coding matrices verified")
+    except (ValueError, ZeroDivisionError) as exc:
+        ok = False
+        lines.append(f"FAIL coding matrices: {exc}")
+
+    rng = np.random.default_rng(20240915)
+    parts = rng.integers(0, params.q, size=(params.k, params.n), dtype=np.int64)
+    word = encode(params, parts)
+    nodes = list(range(1, params.k + 3))
+    patterns = [()] + [(x,) for x in nodes] + [
+        (x, y) for x in nodes for y in nodes if x < y
+    ]
+    bad = []
+    for pattern in patterns:
+        available = {n: word[n - 1] for n in nodes if n not in pattern}
+        try:
+            if not np.array_equal(decode(params, available), word):
+                bad.append(pattern)
+        except (ValueError, ZeroDivisionError):
+            bad.append(pattern)
+    if bad:
+        ok = False
+        lines.append(f"FAIL erasure decoding: patterns {bad} do not round-trip")
+    else:
+        lines.append(
+            f"ok: all {len(patterns)} erasure patterns (up to two nodes) decode exactly"
+        )
+
+    for strategy in strategies:
+        report = verify_rank_conditions(params, strategy)
+        good = sum(c.ok for c in report.conditions)
+        if report.ok:
+            lines.append(
+                f"ok: rank conditions ({strategy}): {good}/{len(report.conditions)} pass"
+            )
+        else:
+            ok = False
+            for c in report.failures():
+                lines.append(
+                    f"FAIL rank condition ({strategy}): node {c.failed} {c.label}: "
+                    f"expected rank {c.expected_rank}, pairs "
+                    f"{'consistent' if c.pair_ok else 'inconsistent'}, "
+                    f"elimination rank {c.elim_rank}"
+                )
+    return ok, lines

@@ -1,3 +1,6 @@
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,20 @@ def blob(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(data)
     return path, data
+
+
+# `hmsr verify` report lines for the k=2 demo profile
+VERIFY_K2_DEMO = [
+    "parameters: k=2 q=7 a=1,1 b=3,4",
+    "ok: coefficient constraints hold for k=2, q=7",
+    "ok: coding matrix entries all nonzero",
+    "ok: coding matrices pairwise distinct at every entry",
+    "ok: inverse coding matrices verified",
+    "ok: all 11 erasure patterns (up to two nodes) decode exactly",
+    "ok: rank conditions (new): 8/8 pass",
+    "ok: rank conditions (original): 8/8 pass",
+    "verification passed",
+]
 
 
 def encode_cluster(tmp_path, blob, extra=()):
@@ -88,6 +105,18 @@ class TestKillRepair:
             f"  total: adds={80 * chunks} muls={48 * chunks}",
         ]
 
+    def test_kill_lines_exact(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        capsys.readouterr()
+        assert main(["kill", str(root), "4"]) == 0
+        assert main(["kill", str(root), "1"]) == 0
+        assert main(["kill", str(root), "2", "--force"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "killed node 4; dead nodes now [4]",
+            "killed node 1; dead nodes now [1, 4]",
+            "killed node 2; dead nodes now [1, 2, 4]",
+        ]
+
     def test_original_strategy_flag(self, tmp_path, blob, capsys):
         root = encode_cluster(tmp_path, blob)
         assert main(["kill", str(root), "1"]) == 0
@@ -154,11 +183,21 @@ class TestBench:
 class TestVerify:
     def test_params_pass(self, capsys):
         assert main(["verify", "--params", "2,7"]) == 0
-        out = capsys.readouterr().out
-        assert "verification passed" in out
+        assert capsys.readouterr().out.splitlines() == VERIFY_K2_DEMO
 
     def test_searched_params_pass(self, capsys):
         assert main(["verify", "--params", "4,11"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "parameters: k=4 q=11 a=2,2,5,5 b=4,7,2,9",
+            "ok: coefficient constraints hold for k=4, q=11",
+            "ok: coding matrix entries all nonzero",
+            "ok: coding matrices pairwise distinct at every entry",
+            "ok: inverse coding matrices verified",
+            "ok: all 22 erasure patterns (up to two nodes) decode exactly",
+            "ok: rank conditions (new): 24/24 pass",
+            "ok: rank conditions (original): 24/24 pass",
+            "verification passed",
+        ]
 
     def test_bad_params_format(self, capsys):
         assert main(["verify", "--params", "seven"]) == 1
@@ -170,6 +209,21 @@ class TestVerify:
         root = encode_cluster(tmp_path, blob)
         assert main(["verify", str(root)]) == 0
 
+    def test_cluster_with_dead_node_exact(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        assert main(["kill", str(root), "4"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(root)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"cluster {root}: 125 chunks, 500 bytes",
+            "note: dead nodes [4]",
+            *VERIFY_K2_DEMO,
+        ]
+
+    def test_rejects_cluster_and_params(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        assert main(["verify", str(root), "--params", "2,7"]) == 1
+
     def test_tampered_cluster_fails(self, tmp_path, blob, capsys):
         root = encode_cluster(tmp_path, blob)
         mpath = root / "manifest.txt"
@@ -180,6 +234,94 @@ class TestVerify:
 
     def test_needs_an_argument(self, capsys):
         assert main(["verify"]) == 1
+
+
+class TestLiveness:
+    """A node is dead when any shard file it should hold is missing."""
+
+    def test_missing_shard_makes_node_dead(self, tmp_path, blob, capsys):
+        _, data = blob
+        root = encode_cluster(tmp_path, blob)
+        (root / "node-03" / "chunk-000007.shard").unlink()
+        capsys.readouterr()
+        assert main(["kill", str(root), "3"]) == 1
+        assert "node 3 is already dead" in capsys.readouterr().err
+        assert main(["verify", str(root)]) == 0
+        assert "note: dead nodes [3]" in capsys.readouterr().out.splitlines()
+        out = tmp_path / "out.bin"
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+        assert main(["repair", str(root), "3"]) == 0
+        capsys.readouterr()
+        assert main(["kill", str(root), "1"]) == 0
+        assert capsys.readouterr().out == "killed node 1; dead nodes now [1]\n"
+
+    def test_missing_node_directory_makes_node_dead(self, tmp_path, blob, capsys):
+        _, data = blob
+        root = encode_cluster(tmp_path, blob)
+        shutil.rmtree(root / "node-02")
+        capsys.readouterr()
+        assert main(["kill", str(root), "2"]) == 1
+        assert "node 2 is already dead" in capsys.readouterr().err
+        out = tmp_path / "out.bin"
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+
+    def test_huge_manifest_chunk_count_is_unrecoverable(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        mpath = root / "manifest.txt"
+        mpath.write_text(mpath.read_text().replace("chunk_count: 125", f"chunk_count: {10**12}"))
+        assert main(["decode", str(root)]) == 3
+        assert "only 0 of 4 nodes alive" in capsys.readouterr().err
+
+    def test_stray_file_leaves_node_alive(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        (root / "node-02" / "notes.txt").write_text("not a shard\n")
+        capsys.readouterr()
+        assert main(["kill", str(root), "1"]) == 0
+        assert capsys.readouterr().out == "killed node 1; dead nodes now [1]\n"
+        assert main(["repair", str(root), "1"]) == 0
+        assert main(["verify", str(root)]) == 0
+        assert "note: dead nodes" not in capsys.readouterr().out
+
+    def test_empty_cluster_nodes_alive(self, tmp_path, capsys):
+        src = tmp_path / "empty.bin"
+        src.write_bytes(b"")
+        root = tmp_path / "cluster"
+        assert main(["encode", str(src), str(root), "--k", "2", "--demo"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(root)]) == 0
+        assert "note: dead nodes" not in capsys.readouterr().out
+        assert main(["repair", str(root), "1"]) == 1
+        assert "node 1 is alive" in capsys.readouterr().err
+
+    def test_each_command_reads_liveness_once(self, tmp_path, blob, capsys, monkeypatch):
+        # 125 chunks per node: checking each shard file would stat hundreds of paths
+        root = encode_cluster(tmp_path, blob)
+        listed, stats = [], []
+        scandir, stat = os.scandir, os.stat
+
+        def counting_scandir(path):
+            listed.append(os.fspath(path))
+            return scandir(path)
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(path)
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        monkeypatch.setattr(os, "stat", counting_stat)
+        for argv in (
+            ["kill", str(root), "4"],
+            ["verify", str(root)],
+            ["repair", str(root), "4"],
+            ["decode", str(root), "--out", str(tmp_path / "out.bin")],
+        ):
+            listed.clear()
+            stats.clear()
+            assert main(argv) == 0
+            assert sorted(listed) == sorted(str(root / f"node-0{n}") for n in range(1, 5))
+            assert len(stats) <= 4, stats
 
 
 class TestUsage:

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hadamard_msr import cluster
+from hadamard_msr import metering
 from hadamard_msr.cluster import (
     ClusterState,
     IntegrityError,
@@ -21,6 +21,7 @@ from hadamard_msr.cluster import (
     write_shard,
 )
 from hadamard_msr.codec import demo_params
+from hadamard_msr.repair import verify_params
 
 
 @pytest.fixture
@@ -168,7 +169,7 @@ class TestEncode:
             assert state.node_dir(node).is_dir()
             files = sorted(state.node_dir(node).glob("chunk-*.shard"))
             assert len(files) == chunks
-        assert state.alive_nodes() == [1, 2, 3, 4]
+        assert ClusterState.load(state.root).dead == ()
 
     def test_existing_cluster_refused(self, tmp_path, payload):
         make_cluster(tmp_path, payload)
@@ -213,7 +214,7 @@ class TestKill:
         state, _ = make_cluster(tmp_path, payload)
         cmd_kill(state.root, 2)
         fresh = ClusterState.load(state.root)
-        assert fresh.dead_nodes() == [2]
+        assert fresh.dead == (2,)
         assert fresh.dead_path(2, 0).exists()
 
     def test_kill_dead_node_refused(self, tmp_path, payload):
@@ -234,7 +235,7 @@ class TestKill:
         cmd_kill(state.root, 1)
         cmd_kill(state.root, 3)
         cmd_kill(state.root, 4, force=True)
-        assert ClusterState.load(state.root).dead_nodes() == [1, 3, 4]
+        assert ClusterState.load(state.root).dead == (1, 3, 4)
 
     def test_kill_repair_kill_cycle(self, tmp_path, payload):
         state, _ = make_cluster(tmp_path, payload)
@@ -242,7 +243,7 @@ class TestKill:
         cmd_repair(state.root, 1)
         cmd_kill(state.root, 2)
         cmd_kill(state.root, 3)
-        assert set(ClusterState.load(state.root).dead_nodes()) == {2, 3}
+        assert set(ClusterState.load(state.root).dead) == {2, 3}
 
     def test_bad_node_id(self, tmp_path, payload):
         state, _ = make_cluster(tmp_path, payload)
@@ -385,7 +386,7 @@ class TestVerify:
         assert not any(l.startswith("FAIL") for l in lines)
 
     def test_params_mode(self, demo_k3):
-        ok, lines = cmd_verify(params=demo_k3)
+        ok, lines = verify_params(demo_k3)
         assert ok
 
     def test_tampered_manifest_fails(self, tmp_path, payload):
@@ -403,17 +404,9 @@ class TestVerify:
         assert ok
         assert any("dead nodes [4]" in l for l in lines)
 
-    def test_rejects_both_arguments(self, tmp_path, demo_k2):
-        with pytest.raises(UsageError):
-            cmd_verify(root=tmp_path, params=demo_k2)
-
-    def test_rejects_neither_argument(self):
-        with pytest.raises(UsageError):
-            cmd_verify()
-
 
 class TestBenchCommand:
     def test_tables_for_demo_and_searched(self):
-        tables = cluster.cmd_bench([2], strategies=("new",))
+        tables = metering.cmd_bench([2], strategies=("new",))
         assert len(tables) == 1
         assert "node=1 strategy=new add=28" in tables[0].text

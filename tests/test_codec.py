@@ -141,10 +141,6 @@ class TestSearch:
         assert p.q >= 2 * k + 3
         assert coefficient_violations(k, p.q, p.a, p.b) == []
 
-    def test_prefer_units_still_valid(self):
-        p = search_params(3, prefer_units=True)
-        assert coefficient_violations(3, p.q, p.a, p.b) == []
-
     def test_demo_params_frozen(self):
         assert demo_params(2).q == 7
         assert demo_params(3).q == 11
