@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("kill", help="mark a node's shards dead")
+    p = sub.add_parser("kill", help="mark a node dead by renaming its segment to a tombstone")
     p.add_argument("cluster", help="cluster directory")
     p.add_argument("node", type=int, help="node id (1..k+2)")
     p.add_argument(

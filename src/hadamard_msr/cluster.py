@@ -1,14 +1,15 @@
-"""File-backed simulated storage cluster: shard and manifest format, and the
-encode, kill, repair, decode and verify commands behind the CLI.
+"""File-backed simulated storage cluster: segment and manifest format, and
+the encode, kill, repair, decode and verify commands behind the CLI.
 
-A cluster is a directory holding a plain-text manifest plus one directory
-per node (node-01 .. node-{k+2}); each node directory holds one shard file
-per chunk.  A node is dead when any of its chunk-XXXXXX.shard files is
-missing; ClusterState.load lists each node directory once and records the
-dead nodes, so a command reads liveness once and not per shard.  Killing a
-node renames its shards to tombstones; repair rebuilds them from the other
-nodes' shards, reading exactly N/2 symbols' worth of payload from each
-helper; decode tolerates any two dead nodes.
+A cluster is a directory holding a plain-text manifest plus one segment file
+per node (node-01.seg .. node-{k+2}.seg).  A segment is one header followed
+by one record of N symbols per chunk, and every file is written to a sibling
+temp file first and then renamed into place.  A node is dead when its segment
+is not a file; ClusterState.load stats each segment once and records the dead
+nodes.  Killing a node renames its segment to a tombstone; repair rebuilds
+the segment from the other nodes' segments, shipping exactly N/2 symbols per
+chunk from each helper, and then drops the tombstone; decode tolerates any
+two dead nodes.
 
 Errors carry the process exit code the CLI should use: 1 for usage problems,
 2 for integrity/verification failures, 3 when the data is unrecoverable.
@@ -28,12 +29,12 @@ from .codec import CodeParams, DEMO_COEFFICIENTS, bits_per_symbol, demo_params, 
 from .repair import STRATEGIES, HelperTask, build_repair_plan, verify_params
 
 MAGIC = b"HMSR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.txt"
 DEAD_SUFFIX = ".dead"
 
-# magic, version, k, q, node_id, chunk_index, symbol count
-_HEADER = struct.Struct("<4sBBHHII")
+# magic, version, k, q, node_id, chunk count
+_HEADER = struct.Struct("<4sBBHHI")
 
 
 class ClusterError(Exception):
@@ -54,40 +55,48 @@ class UnrecoverableError(ClusterError):
     exit_code = 3
 
 
-def write_shard(path: Path, params: CodeParams, node: int, chunk: int, symbols) -> None:
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.shape != (params.n,):
-        raise ValueError(f"shard must hold {params.n} symbols")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, params.k, params.q, node, chunk, symbols.size)
-    path.write_bytes(header + symbols.astype("<u2").tobytes())
+def _write_replace(path: Path, data: bytes) -> None:
+    """Write to a sibling temp file, then rename it over path."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
-def read_shard(path: Path, params: CodeParams, node: int, chunk: int) -> np.ndarray:
-    """Parse and validate one shard file against its expected identity."""
+def write_segment(path: Path, params: CodeParams, node: int, rows) -> None:
+    """Store a node's (chunks, N) symbol rows; row c is chunk c."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != params.n:
+        raise ValueError(f"segment rows must hold {params.n} symbols each")
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, params.k, params.q, node, rows.shape[0])
+    _write_replace(path, header + rows.astype("<u2").tobytes())
+
+
+def read_segment(path: Path, params: CodeParams, node: int, chunks: int) -> np.ndarray:
+    """Parse and validate one node's segment; returns its (chunks, N) rows."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
-        raise IntegrityError(f"missing shard {path}") from None
+        raise IntegrityError(f"missing segment {path}") from None
     if len(raw) < _HEADER.size:
-        raise IntegrityError(f"shard {path} is truncated")
-    magic, version, k, q, node_id, chunk_index, count = _HEADER.unpack_from(raw)
+        raise IntegrityError(f"segment {path} is truncated")
+    magic, version, k, q, node_id, count = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise IntegrityError(f"shard {path} has wrong magic {magic!r}")
+        raise IntegrityError(f"segment {path} has wrong magic {magic!r}")
     if version != FORMAT_VERSION:
-        raise IntegrityError(f"shard {path} has unsupported version {version}")
+        raise IntegrityError(f"segment {path} has unsupported version {version}")
     if (k, q) != (params.k, params.q):
-        raise IntegrityError(f"shard {path} belongs to a k={k}, q={q} code")
-    if (node_id, chunk_index) != (node, chunk):
+        raise IntegrityError(f"segment {path} belongs to a k={k}, q={q} code")
+    if node_id != node:
+        raise IntegrityError(f"segment {path} labeled node={node_id}, expected node={node}")
+    # checked before any array of `chunks` rows exists: the manifest may be tampered
+    if count != chunks or len(raw) != _HEADER.size + 2 * chunks * params.n:
         raise IntegrityError(
-            f"shard {path} labeled node={node_id} chunk={chunk_index}, "
-            f"expected node={node} chunk={chunk}"
+            f"segment {path} has wrong size for {chunks} chunks ({count} in its header)"
         )
-    if count != params.n or len(raw) != _HEADER.size + 2 * count:
-        raise IntegrityError(f"shard {path} has wrong symbol count")
-    symbols = np.frombuffer(raw, dtype="<u2", offset=_HEADER.size).astype(np.int64)
-    if symbols.size and symbols.max() >= params.q:
-        raise IntegrityError(f"shard {path} holds symbols outside F_{params.q}")
-    return symbols
+    rows = np.frombuffer(raw, dtype="<u2", offset=_HEADER.size).astype(np.int64)
+    if rows.size and rows.max() >= params.q:
+        raise IntegrityError(f"segment {path} holds symbols outside F_{params.q}")
+    return rows.reshape(chunks, params.n)
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,7 @@ class Manifest:
                 ("packing", self.packing),
             )
         )
-        (root / MANIFEST_NAME).write_text(text)
+        _write_replace(root / MANIFEST_NAME, text.encode())
 
     @classmethod
     def load(cls, root: Path) -> "Manifest":
@@ -174,50 +183,27 @@ class Manifest:
             raise IntegrityError(f"manifest coefficients invalid: {exc}") from None
 
 
-def _shard_name(chunk: int) -> str:
-    return f"chunk-{chunk:06d}.shard"
-
-
 @dataclass(frozen=True)
 class ClusterState:
     root: Path
     manifest: Manifest
-    dead: tuple = ()  # ids of the nodes missing any shard, ascending
+    dead: tuple = ()  # ids of the nodes whose segment is not a file, ascending
 
     @classmethod
     def load(cls, root) -> "ClusterState":
-        """Read the manifest and list each node directory once for liveness.
-
-        A node is dead when any expected shard file is missing, so a node of
-        a cluster with zero chunks is alive; other files are ignored.
-        """
+        """Read the manifest and stat each node's segment once for liveness."""
         root = Path(root)
         state = cls(root=root, manifest=Manifest.load(root))
-        chunks = range(state.manifest.chunk_count)
-        dead = []
-        for node in range(1, state.params.k + 3):
-            try:
-                with os.scandir(state.node_dir(node)) as entries:
-                    present = {e.name for e in entries if e.is_file()}
-            except (FileNotFoundError, NotADirectoryError):
-                present = set()
-            # the length test first: a tampered chunk_count may be huge
-            if len(present) < len(chunks) or any(_shard_name(c) not in present for c in chunks):
-                dead.append(node)
-        return replace(state, dead=tuple(dead))
+        nodes = range(1, state.params.k + 3)
+        dead = tuple(n for n in nodes if not state.segment_path(n).is_file())
+        return replace(state, dead=dead)
 
     @property
     def params(self) -> CodeParams:
         return self.manifest.params
 
-    def node_dir(self, node: int) -> Path:
-        return self.root / f"node-{node:02d}"
-
-    def shard_path(self, node: int, chunk: int) -> Path:
-        return self.node_dir(node) / _shard_name(chunk)
-
-    def dead_path(self, node: int, chunk: int) -> Path:
-        return self.node_dir(node) / (_shard_name(chunk) + DEAD_SUFFIX)
+    def segment_path(self, node: int) -> Path:
+        return self.root / f"node-{node:02d}.seg"
 
     def check_node(self, node: int) -> None:
         if not 1 <= node <= self.params.k + 2:
@@ -227,7 +213,10 @@ class ClusterState:
 def cmd_encode(
     input_path, out_dir, k: int, q: int | None = None, demo: bool = False
 ) -> ClusterState:
-    """Split a file into chunks, encode, and lay out the node directories."""
+    """Split a file into chunks, encode, and write one segment per node.
+
+    The manifest is saved last, so an interrupted encode leaves no cluster.
+    """
     input_path = Path(input_path)
     out_dir = Path(out_dir)
     if not input_path.is_file():
@@ -259,16 +248,14 @@ def cmd_encode(
     out_dir.mkdir(parents=True, exist_ok=True)
     state = ClusterState(root=out_dir, manifest=manifest)
     for node in range(1, params.k + 3):
-        state.node_dir(node).mkdir(exist_ok=True)
-    for chunk in range(blocks.shape[0]):
-        for node in range(1, params.k + 3):
-            write_shard(state.shard_path(node, chunk), params, node, chunk, words[chunk, node - 1])
+        write_segment(state.segment_path(node), params, node, words[:, node - 1])
     manifest.save(out_dir)
     return state
 
 
 def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
-    """Tombstone a node's shards, refusing to pass the two-failure limit.
+    """Rename a node's segment to a tombstone, refusing to pass the
+    two-failure limit.
 
     Returns the cluster state with the node added to its dead set.
     """
@@ -284,18 +271,19 @@ def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
             f"nodes {dead[0]} and {dead[1]} are already dead; killing node {node} "
             "would make the data unrecoverable (use --force to do it anyway)"
         )
-    for chunk in range(state.manifest.chunk_count):
-        state.shard_path(node, chunk).rename(state.dead_path(node, chunk))
+    segment = state.segment_path(node)
+    segment.rename(segment.with_name(segment.name + DEAD_SUFFIX))
     return replace(state, dead=tuple(sorted((*dead, node))))
 
 
-def read_repair_payload(
-    state: ClusterState, helper: int, chunk: int, task: HelperTask
-) -> np.ndarray:
-    """Default payload reader: the helper transforms its shard locally and
-    ships N/2 symbols.  Tests swap this out to audit download volume."""
-    shard = read_shard(state.shard_path(helper, chunk), state.params, helper, chunk)
-    return task.payload(shard, state.params.q)
+def read_repair_payload(state: ClusterState, helper: int, task: HelperTask) -> np.ndarray:
+    """Default payload reader: the helper reads its segment once, transforms
+    each chunk locally and ships (chunks, N/2) symbols.  Tests swap this out
+    to audit download volume."""
+    p, chunks = state.params, state.manifest.chunk_count
+    rows = read_segment(state.segment_path(helper), p, helper, chunks)
+    payloads = [task.payload(row, p.q) for row in rows]
+    return np.array(payloads, dtype=np.int64).reshape(chunks, p.n // 2)
 
 
 @dataclass(frozen=True)
@@ -324,7 +312,7 @@ class RepairSummary:
 def cmd_repair(
     root, node: int, strategy: str = "new", payload_reader=read_repair_payload
 ) -> RepairSummary:
-    """Rebuild a dead node's shards from the k+1 live ones."""
+    """Rebuild a dead node's segment from the k+1 live ones."""
     state = ClusterState.load(root)
     state.check_node(node)
     if strategy not in STRATEGIES:
@@ -343,15 +331,17 @@ def cmd_repair(
         raise UnrecoverableError(f"only {alive} nodes alive; data is unrecoverable")
     plan = build_repair_plan(params, node, strategy)
     chunks = state.manifest.chunk_count
-    shipped = dict.fromkeys(plan.helper_matrices, 0)
+    payloads = {
+        helper: np.asarray(payload_reader(state, helper, task))
+        for helper, task in plan.helper_matrices.items()
+    }
+    shipped = {helper: int(rows.size) for helper, rows in payloads.items()}
+    restored = np.empty((chunks, params.n), dtype=np.int64)
     for chunk in range(chunks):
-        payloads = {}
-        for helper, task in plan.helper_matrices.items():
-            payloads[helper] = payload_reader(state, helper, chunk, task)
-            shipped[helper] += int(np.asarray(payloads[helper]).size)
-        restored = plan.assemble(payloads)
-        write_shard(state.shard_path(node, chunk), params, node, chunk, restored)
-        state.dead_path(node, chunk).unlink(missing_ok=True)
+        restored[chunk] = plan.assemble({h: rows[chunk] for h, rows in payloads.items()})
+    segment = state.segment_path(node)
+    write_segment(segment, params, node, restored)
+    segment.with_name(segment.name + DEAD_SUFFIX).unlink(missing_ok=True)
     cost = plan.cost()
     return RepairSummary(
         node=node,
@@ -373,13 +363,12 @@ def cmd_decode(root, out_path=None) -> bytes:
         raise UnrecoverableError(
             f"only {len(alive)} of {params.k + 2} nodes alive; need at least {params.k}"
         )
-    blocks = np.empty((state.manifest.chunk_count, params.k, params.n), dtype=np.int64)
-    for chunk in range(state.manifest.chunk_count):
-        available = {
-            n: read_shard(state.shard_path(n, chunk), params, n, chunk) for n in alive
-        }
+    chunks = state.manifest.chunk_count
+    segments = {n: read_segment(state.segment_path(n), params, n, chunks) for n in alive}
+    blocks = np.empty((chunks, params.k, params.n), dtype=np.int64)
+    for chunk in range(chunks):
         try:
-            word = codec.decode(params, available)
+            word = codec.decode(params, {n: rows[chunk] for n, rows in segments.items()})
         except ValueError as exc:
             raise IntegrityError(f"chunk {chunk} failed to decode: {exc}") from None
         blocks[chunk] = word[: params.k]

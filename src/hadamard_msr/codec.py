@@ -113,6 +113,15 @@ class CodeParams:
         return PrimeField(self.q)
 
 
+def _candidate_pairs(q: int) -> list[tuple[int, int]]:
+    """Every (a, b) in [1, q)^2 with a^2 - b^2 = -1 (mod q), in lexicographic
+    order: for each a, the square roots b of a^2 + 1, ascending."""
+    roots = [[] for _ in range(q)]
+    for b in range(1, q):
+        roots[b * b % q].append(b)
+    return [(a, b) for a in range(1, q) for b in roots[(a * a + 1) % q]]
+
+
 def find_coefficients(k: int, q: int) -> tuple[tuple, tuple] | None:
     """First valid (a, b) assignment in deterministic search order.
 
@@ -123,12 +132,7 @@ def find_coefficients(k: int, q: int) -> tuple[tuple, tuple] | None:
     """
     if not is_prime(q) or q < 2 * k + 3:
         raise ValueError(f"q must be a prime >= 2k+3 = {2 * k + 3}, got {q}")
-    pairs = [
-        (ai, bi)
-        for ai in range(1, q)
-        for bi in range(1, q)
-        if (ai * ai - bi * bi) % q == q - 1
-    ]
+    pairs = _candidate_pairs(q)
 
     chosen: list[tuple[int, int]] = []
 

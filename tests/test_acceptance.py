@@ -145,22 +145,23 @@ def test_criterion_7_bandwidth(tmp_path, searched_params):
             for strategy in ("new", "original"):
                 for node in range(1, k + 3):
                     cluster.cmd_kill(root, node)
-                    sizes = []
+                    shapes = {}
 
-                    def audit(state_, helper, chunk, task):
-                        payload = cluster.read_repair_payload(state_, helper, chunk, task)
-                        sizes.append(payload.size)
+                    def audit(state_, helper, task):
+                        payload = cluster.read_repair_payload(state_, helper, task)
+                        shapes[helper] = payload.shape
                         return payload
 
                     summary = cluster.cmd_repair(
                         root, node, strategy=strategy, payload_reader=audit
                     )
                     chunks = state.manifest.chunk_count
-                    assert sizes == [half] * ((k + 1) * chunks)
+                    helpers = [h for h in range(1, k + 3) if h != node]
+                    assert shapes == {h: (chunks, half) for h in helpers}
                     assert summary.downloaded_symbols == (k + 1) * half * chunks
                     assert summary.shipped == {
-                        h: half * chunks for h in range(1, k + 3) if h != node
-                    }
+                        h: rows * cols for h, (rows, cols) in shapes.items()
+                    } == {h: half * chunks for h in helpers}
                     assert summary.per_chunk_downloaded == (k + 1) * (1 << k)
         # plan-level accounting agrees for every k
         for k in range(2, 7):

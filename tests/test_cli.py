@@ -1,5 +1,4 @@
 import os
-import shutil
 
 import numpy as np
 import pytest
@@ -237,12 +236,12 @@ class TestVerify:
 
 
 class TestLiveness:
-    """A node is dead when any shard file it should hold is missing."""
+    """A node is dead when its segment is not a file."""
 
-    def test_missing_shard_makes_node_dead(self, tmp_path, blob, capsys):
+    def test_missing_segment_makes_node_dead(self, tmp_path, blob, capsys):
         _, data = blob
         root = encode_cluster(tmp_path, blob)
-        (root / "node-03" / "chunk-000007.shard").unlink()
+        (root / "node-03.seg").unlink()
         capsys.readouterr()
         assert main(["kill", str(root), "3"]) == 1
         assert "node 3 is already dead" in capsys.readouterr().err
@@ -256,10 +255,11 @@ class TestLiveness:
         assert main(["kill", str(root), "1"]) == 0
         assert capsys.readouterr().out == "killed node 1; dead nodes now [1]\n"
 
-    def test_missing_node_directory_makes_node_dead(self, tmp_path, blob, capsys):
+    def test_segment_not_a_file_makes_node_dead(self, tmp_path, blob, capsys):
         _, data = blob
         root = encode_cluster(tmp_path, blob)
-        shutil.rmtree(root / "node-02")
+        (root / "node-02.seg").unlink()
+        (root / "node-02.seg").mkdir()
         capsys.readouterr()
         assert main(["kill", str(root), "2"]) == 1
         assert "node 2 is already dead" in capsys.readouterr().err
@@ -267,16 +267,19 @@ class TestLiveness:
         assert main(["decode", str(root), "--out", str(out)]) == 0
         assert out.read_bytes() == data
 
-    def test_huge_manifest_chunk_count_is_unrecoverable(self, tmp_path, blob, capsys):
+    def test_huge_manifest_chunk_count_is_wrong_size(self, tmp_path, blob, capsys):
+        # the segment sizes are checked before any array of 10^12 chunks exists
         root = encode_cluster(tmp_path, blob)
         mpath = root / "manifest.txt"
         mpath.write_text(mpath.read_text().replace("chunk_count: 125", f"chunk_count: {10**12}"))
-        assert main(["decode", str(root)]) == 3
-        assert "only 0 of 4 nodes alive" in capsys.readouterr().err
+        assert main(["decode", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert "node-01.seg has wrong size" in err
+        assert f"wrong size for {10**12} chunks (125 in its header)" in err
 
     def test_stray_file_leaves_node_alive(self, tmp_path, blob, capsys):
         root = encode_cluster(tmp_path, blob)
-        (root / "node-02" / "notes.txt").write_text("not a shard\n")
+        (root / "notes.txt").write_text("not a segment\n")
         capsys.readouterr()
         assert main(["kill", str(root), "1"]) == 0
         assert capsys.readouterr().out == "killed node 1; dead nodes now [1]\n"
@@ -296,14 +299,14 @@ class TestLiveness:
         assert "node 1 is alive" in capsys.readouterr().err
 
     def test_each_command_reads_liveness_once(self, tmp_path, blob, capsys, monkeypatch):
-        # 125 chunks per node: checking each shard file would stat hundreds of paths
+        # one stat for the manifest and one per segment, k+3 in all; no listing
         root = encode_cluster(tmp_path, blob)
         listed, stats = [], []
         scandir, stat = os.scandir, os.stat
 
-        def counting_scandir(path):
-            listed.append(os.fspath(path))
-            return scandir(path)
+        def counting_scandir(*args):
+            listed.append(args)
+            return scandir(*args)
 
         def counting_stat(path, *args, **kwargs):
             stats.append(path)
@@ -320,8 +323,61 @@ class TestLiveness:
             listed.clear()
             stats.clear()
             assert main(argv) == 0
-            assert sorted(listed) == sorted(str(root / f"node-0{n}") for n in range(1, 5))
-            assert len(stats) <= 4, stats
+            assert listed == []
+            assert len(stats) <= 2 + 3, stats
+
+
+class TestCrash:
+    """A failing rename leaves a cluster that decodes and a command that reruns."""
+
+    @staticmethod
+    def failing_replace(monkeypatch, fail_on_call):
+        replace, calls = os.replace, []
+
+        def flaky(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_on_call:
+                raise OSError(f"injected failure renaming {src}")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky)
+        return calls
+
+    def test_repair_interrupted(self, tmp_path, blob, capsys, monkeypatch):
+        _, data = blob
+        root = encode_cluster(tmp_path, blob)
+        assert main(["kill", str(root), "2"]) == 0
+        with monkeypatch.context() as m:
+            calls = self.failing_replace(m, 1)
+            assert main(["repair", str(root), "2"]) == 2
+            assert calls == [root / "node-02.seg"]
+        assert "injected failure" in capsys.readouterr().err
+        assert main(["kill", str(root), "2"]) == 1
+        assert "node 2 is already dead" in capsys.readouterr().err
+        out = tmp_path / "out.bin"
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+        assert main(["repair", str(root), "2"]) == 0
+        assert len(list(root.iterdir())) == 2 + 3
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+
+    # the renames of node 1's segment, node 3's segment and the manifest
+    @pytest.mark.parametrize("fail_on_call", [1, 3, 5])
+    def test_encode_interrupted(self, tmp_path, blob, capsys, monkeypatch, fail_on_call):
+        path, data = blob
+        root = tmp_path / "cluster"
+        argv = ["encode", str(path), str(root), "--k", "2", "--demo"]
+        with monkeypatch.context() as m:
+            self.failing_replace(m, fail_on_call)
+            assert main(argv) == 2
+        assert not (root / "manifest.txt").exists()
+        assert main(["decode", str(root)]) == 1
+        assert main(argv) == 0
+        assert len(list(root.iterdir())) == 2 + 3
+        out = tmp_path / "out.bin"
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
 
 
 class TestUsage:

@@ -17,8 +17,8 @@ from hadamard_msr.cluster import (
     cmd_repair,
     cmd_verify,
     read_repair_payload,
-    read_shard,
-    write_shard,
+    read_segment,
+    write_segment,
 )
 from hadamard_msr.codec import demo_params
 from hadamard_msr.repair import verify_params
@@ -38,73 +38,106 @@ def make_cluster(tmp_path, payload, k=2, demo=True, q=None):
     return state, data
 
 
-def node_digests(state, node):
-    hashes = []
-    for chunk in range(state.manifest.chunk_count):
-        hashes.append(hashlib.sha256(state.shard_path(node, chunk).read_bytes()).hexdigest())
-    return hashes
+def node_digest(state, node):
+    return hashlib.sha256(state.segment_path(node).read_bytes()).hexdigest()
+
+
+def tombstone(state, node):
+    return state.root / f"node-{node:02d}.seg.dead"
 
 
 class TestShardFormat:
+    """A segment: one header, then one record (the node's shard) per chunk."""
+
     def test_round_trip(self, tmp_path, demo_k2, rng):
-        symbols = rng.integers(0, 7, size=8, dtype=np.int64)
-        path = tmp_path / "x.shard"
-        write_shard(path, demo_k2, 3, 17, symbols)
-        assert np.array_equal(read_shard(path, demo_k2, 3, 17), symbols)
+        rows = rng.integers(0, 7, size=(5, 8), dtype=np.int64)
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 3, rows)
+        assert np.array_equal(read_segment(path, demo_k2, 3, 5), rows)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.seg"]
 
     def test_header_layout(self, tmp_path, demo_k2):
-        path = tmp_path / "x.shard"
-        write_shard(path, demo_k2, 1, 2, np.arange(8) % 7)
+        path = tmp_path / "x.seg"
+        rows = np.arange(16).reshape(2, 8) % 7
+        write_segment(path, demo_k2, 1, rows)
         raw = path.read_bytes()
         assert raw[:4] == b"HMSR"
-        magic, version, k, q, node, chunk, count = struct.unpack_from("<4sBBHHII", raw)
-        assert (version, k, q, node, chunk, count) == (1, 2, 7, 1, 2, 8)
-        assert len(raw) == 18 + 2 * 8
+        magic, version, k, q, node, count = struct.unpack_from("<4sBBHHI", raw)
+        assert (version, k, q, node, count) == (2, 2, 7, 1, 2)
+        assert len(raw) == 14 + 2 * 2 * 8
+        assert raw[14:] == rows.astype("<u2").tobytes()  # row c is chunk c
 
     def test_wrong_identity_rejected(self, tmp_path, demo_k2, rng):
-        symbols = rng.integers(0, 7, size=8, dtype=np.int64)
-        path = tmp_path / "x.shard"
-        write_shard(path, demo_k2, 3, 17, symbols)
-        with pytest.raises(IntegrityError, match="labeled"):
-            read_shard(path, demo_k2, 4, 17)
-        with pytest.raises(IntegrityError, match="labeled"):
-            read_shard(path, demo_k2, 3, 16)
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 3, rng.integers(0, 7, size=(2, 8), dtype=np.int64))
+        with pytest.raises(IntegrityError, match="labeled node=3, expected node=4"):
+            read_segment(path, demo_k2, 4, 2)
 
     def test_wrong_code_rejected(self, tmp_path, demo_k2, demo_k3, rng):
-        path = tmp_path / "x.shard"
-        write_shard(path, demo_k2, 1, 0, rng.integers(0, 7, size=8, dtype=np.int64))
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
         with pytest.raises(IntegrityError, match="belongs to"):
-            read_shard(path, demo_k3, 1, 0)
+            read_segment(path, demo_k3, 1, 1)
 
     def test_truncation_rejected(self, tmp_path, demo_k2, rng):
-        path = tmp_path / "x.shard"
-        write_shard(path, demo_k2, 1, 0, rng.integers(0, 7, size=8, dtype=np.int64))
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
         raw = path.read_bytes()
         path.write_bytes(raw[:10])
         with pytest.raises(IntegrityError, match="truncated"):
-            read_shard(path, demo_k2, 1, 0)
+            read_segment(path, demo_k2, 1, 1)
 
     def test_bad_magic_rejected(self, tmp_path, demo_k2, rng):
-        path = tmp_path / "x.shard"
-        write_shard(path, demo_k2, 1, 0, rng.integers(0, 7, size=8, dtype=np.int64))
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
         raw = bytearray(path.read_bytes())
         raw[0] = ord("X")
         path.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError, match="magic"):
-            read_shard(path, demo_k2, 1, 0)
+            read_segment(path, demo_k2, 1, 1)
+
+    def test_bad_version_rejected(self, tmp_path, demo_k2, rng):
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
+        raw = bytearray(path.read_bytes())
+        raw[4] = 1  # format v1 is not read
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="unsupported version 1"):
+            read_segment(path, demo_k2, 1, 1)
+
+    def test_size_and_chunk_count_mismatch_rejected(self, tmp_path, demo_k2, rng):
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(3, 8), dtype=np.int64))
+        raw = path.read_bytes()
+        # the manifest expects another chunk count than the segment holds
+        for chunks in (2, 4, 10**12):
+            with pytest.raises(IntegrityError, match="wrong size"):
+                read_segment(path, demo_k2, 1, chunks)
+        # one symbol short of three records
+        path.write_bytes(raw[:-2])
+        with pytest.raises(IntegrityError, match="wrong size"):
+            read_segment(path, demo_k2, 1, 3)
+        # one record dropped and the header count left at three
+        path.write_bytes(raw[:-16])
+        with pytest.raises(IntegrityError, match="wrong size"):
+            read_segment(path, demo_k2, 1, 2)
+        # the header count changed, the records left as they are
+        path.write_bytes(raw[:10] + struct.pack("<I", 2) + raw[14:])
+        with pytest.raises(IntegrityError, match="wrong size"):
+            read_segment(path, demo_k2, 1, 3)
 
     def test_out_of_field_symbol_rejected(self, tmp_path, demo_k2):
-        path = tmp_path / "x.shard"
-        write_shard(path, demo_k2, 1, 0, np.zeros(8, dtype=np.int64))
+        path = tmp_path / "x.seg"
+        write_segment(path, demo_k2, 1, np.zeros((2, 8), dtype=np.int64))
         raw = bytearray(path.read_bytes())
-        raw[18:20] = (9).to_bytes(2, "little")  # 9 >= q = 7
+        raw[-2:] = (9).to_bytes(2, "little")  # 9 >= q = 7, last symbol of chunk 1
         path.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError, match="outside"):
-            read_shard(path, demo_k2, 1, 0)
+            read_segment(path, demo_k2, 1, 2)
 
     def test_missing_file(self, tmp_path, demo_k2):
         with pytest.raises(IntegrityError, match="missing"):
-            read_shard(tmp_path / "nope.shard", demo_k2, 1, 0)
+            read_segment(tmp_path / "nope.seg", demo_k2, 1, 0)
 
 
 class TestManifest:
@@ -116,6 +149,13 @@ class TestManifest:
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
         with pytest.raises(UsageError, match="not a cluster"):
+            Manifest.load(tmp_path)
+
+    def test_v1_manifest_refused(self, tmp_path, demo_k2):
+        Manifest(params=demo_k2, chunk_count=1, original_length=4, packing=2).save(tmp_path)
+        text = (tmp_path / "manifest.txt").read_text().replace("version: 2", "version: 1")
+        (tmp_path / "manifest.txt").write_text(text)
+        with pytest.raises(IntegrityError, match="unsupported manifest version 1"):
             Manifest.load(tmp_path)
 
     def test_malformed_line(self, tmp_path, demo_k2):
@@ -165,11 +205,22 @@ class TestEncode:
         assert state.manifest.original_length == len(data)
         chunks = state.manifest.chunk_count
         assert chunks == -(-len(data) * 8 // (2 * 8 * 2))  # bits / (k*N*packing)
+        names = sorted(p.name for p in state.root.iterdir())
+        assert names == ["manifest.txt"] + [f"node-0{n}.seg" for n in range(1, 5)]
         for node in range(1, 5):
-            assert state.node_dir(node).is_dir()
-            files = sorted(state.node_dir(node).glob("chunk-*.shard"))
-            assert len(files) == chunks
+            assert state.segment_path(node).stat().st_size == 14 + chunks * 8 * 2
         assert ClusterState.load(state.root).dead == ()
+
+    def test_footprint_8kib_k3(self, tmp_path):
+        # the benchmark's cluster: one segment per node, no per-chunk files
+        path = tmp_path / "input.bin"
+        path.write_bytes(bytes(np.random.default_rng(8).integers(0, 256, 8192, dtype=np.uint8)))
+        state = cmd_encode(path, tmp_path / "cluster", k=3, q=257)
+        chunks, n = state.manifest.chunk_count, state.params.n
+        names = sorted(p.name for p in state.root.iterdir())
+        assert names == ["manifest.txt"] + [f"node-0{n}.seg" for n in range(1, 6)]  # k+3
+        for node in range(1, 6):
+            assert state.segment_path(node).stat().st_size == 14 + chunks * n * 2
 
     def test_existing_cluster_refused(self, tmp_path, payload):
         make_cluster(tmp_path, payload)
@@ -215,7 +266,8 @@ class TestKill:
         cmd_kill(state.root, 2)
         fresh = ClusterState.load(state.root)
         assert fresh.dead == (2,)
-        assert fresh.dead_path(2, 0).exists()
+        assert tombstone(state, 2).is_file()
+        assert not state.segment_path(2).exists()
 
     def test_kill_dead_node_refused(self, tmp_path, payload):
         state, _ = make_cluster(tmp_path, payload)
@@ -263,11 +315,12 @@ class TestRepair:
     def test_restores_identical_shards(self, tmp_path, payload, strategy):
         state, _ = make_cluster(tmp_path, payload)
         for node in range(1, 5):
-            before = node_digests(state, node)
+            before = node_digest(state, node)
             cmd_kill(state.root, node)
             summary = cmd_repair(state.root, node, strategy=strategy)
-            assert node_digests(state, node) == before
-            assert not state.dead_path(node, 0).exists()
+            assert node_digest(state, node) == before
+            assert not tombstone(state, node).exists()
+            assert len(list(state.root.iterdir())) == 2 + 3
             assert summary.per_chunk_downloaded == 3 * 4  # (k+1) * N/2
 
     def test_alive_node_refused(self, tmp_path, payload):
@@ -302,17 +355,15 @@ class TestRepair:
         cmd_kill(state.root, 3)
         seen = []
 
-        def counting_reader(state_, helper, chunk, task):
-            out = read_repair_payload(state_, helper, chunk, task)
-            seen.append((helper, chunk, out.size))
+        def counting_reader(state_, helper, task):
+            out = read_repair_payload(state_, helper, task)
+            seen.append((helper, out.shape))
             return out
 
         summary = cmd_repair(state.root, 3, payload_reader=counting_reader)
         chunks = state.manifest.chunk_count
-        assert len(seen) == 3 * chunks
-        assert all(size == 4 for _, _, size in seen)
-        assert sorted(seen) == [(h, c, 4) for h in (1, 2, 4) for c in range(chunks)]
-        tally = {h: sum(size for helper, _, size in seen if helper == h) for h in (1, 2, 4)}
+        assert sorted(seen) == [(h, (chunks, 4)) for h in (1, 2, 4)]
+        tally = {helper: shape[0] * shape[1] for helper, shape in seen}
         assert summary.shipped == tally == {1: 4 * chunks, 2: 4 * chunks, 4: 4 * chunks}
         assert summary.downloaded_symbols == 3 * 4 * chunks
 
@@ -367,11 +418,11 @@ class TestDecode:
         # cross-check against the second parity catches it
         state, _ = make_cluster(tmp_path, payload)
         cmd_kill(state.root, 1)
-        shard = state.shard_path(2, 0)
-        raw = bytearray(shard.read_bytes())
-        val = int.from_bytes(raw[18:20], "little")
-        raw[18:20] = ((val + 1) % 7).to_bytes(2, "little")
-        shard.write_bytes(bytes(raw))
+        segment = state.segment_path(2)
+        raw = bytearray(segment.read_bytes())
+        val = int.from_bytes(raw[14:16], "little")  # record 0, first symbol
+        raw[14:16] = ((val + 1) % 7).to_bytes(2, "little")
+        segment.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError, match="failed to decode"):
             cmd_decode(state.root)
 

@@ -24,6 +24,7 @@ from hadamard_msr.codec import (
     unchunk,
     validate_coefficients,
 )
+from hadamard_msr.field import is_prime
 
 
 class TestCoefficientConstraints:
@@ -120,6 +121,14 @@ class TestSearch:
     @pytest.mark.parametrize("k,q", sorted(FOUND))
     def test_pinned_results(self, k, q):
         assert find_coefficients(k, q) == FOUND[(k, q)]
+
+    def test_candidate_pairs_match_quadratic_loop(self):
+        # the q^2 double loop the square-root table replaced, kept as reference
+        for q in [q for q in range(7, 400) if is_prime(q)] + [751]:
+            expected = [
+                (a, b) for a in range(1, q) for b in range(1, q) if (a * a - b * b) % q == q - 1
+            ]
+            assert codec._candidate_pairs(q) == expected, q
 
     def test_smallest_solution_k2(self):
         assert find_coefficients(2, 7) == ((1, 1), (3, 4))

@@ -1,9 +1,10 @@
-"""The README's count tables and Layout block agree with the code."""
+"""The README's count tables, Cluster layout and Layout blocks agree with the code."""
 
 from pathlib import Path
 
 import pytest
 
+from hadamard_msr.cli import main
 from hadamard_msr.codec import demo_params
 from hadamard_msr.metering import emit_table
 
@@ -63,3 +64,14 @@ def test_layout_lists_every_package_module():
     modules = {str(p.relative_to(ROOT)) for p in package.rglob("*.py")}
     listed = {p for p in layout_paths() if p.startswith("src/hadamard_msr/") and p.endswith(".py")}
     assert listed == modules
+
+
+def test_cluster_layout_names_the_files_encode_creates(tmp_path, capsys):
+    block = README.split("## Cluster layout", 1)[1].split("```")[1]
+    entries = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    listed = [e for e in entries if e and e != "cluster/"]
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(256)) * 4)
+    root = tmp_path / "cluster"
+    assert main(["encode", str(src), str(root), "--k", "3"]) == 0
+    assert listed == sorted(p.name for p in root.iterdir())
