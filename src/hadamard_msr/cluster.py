@@ -56,10 +56,15 @@ class UnrecoverableError(ClusterError):
 
 
 def _write_replace(path: Path, data: bytes) -> None:
-    """Write to a sibling temp file, then rename it over path."""
+    """Write to a sibling temp file, then rename it over path.  If either
+    step fails, the temp file is removed before the error propagates."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_segment(path: Path, params: CodeParams, node: int, rows) -> None:
@@ -278,12 +283,11 @@ def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
 
 def read_repair_payload(state: ClusterState, helper: int, task: HelperTask) -> np.ndarray:
     """Default payload reader: the helper reads its segment once, transforms
-    each chunk locally and ships (chunks, N/2) symbols.  Tests swap this out
-    to audit download volume."""
-    p, chunks = state.params, state.manifest.chunk_count
-    rows = read_segment(state.segment_path(helper), p, helper, chunks)
-    payloads = [task.payload(row, p.q) for row in rows]
-    return np.array(payloads, dtype=np.int64).reshape(chunks, p.n // 2)
+    all its chunks locally and ships (chunks, N/2) symbols.  Tests swap this
+    out to audit download volume."""
+    p = state.params
+    rows = read_segment(state.segment_path(helper), p, helper, state.manifest.chunk_count)
+    return task.payload(rows, p.q)
 
 
 @dataclass(frozen=True)
@@ -336,11 +340,8 @@ def cmd_repair(
         for helper, task in plan.helper_matrices.items()
     }
     shipped = {helper: int(rows.size) for helper, rows in payloads.items()}
-    restored = np.empty((chunks, params.n), dtype=np.int64)
-    for chunk in range(chunks):
-        restored[chunk] = plan.assemble({h: rows[chunk] for h, rows in payloads.items()})
     segment = state.segment_path(node)
-    write_segment(segment, params, node, restored)
+    write_segment(segment, params, node, plan.assemble(payloads))
     segment.with_name(segment.name + DEAD_SUFFIX).unlink(missing_ok=True)
     cost = plan.cost()
     return RepairSummary(
@@ -365,15 +366,9 @@ def cmd_decode(root, out_path=None) -> bytes:
         )
     chunks = state.manifest.chunk_count
     segments = {n: read_segment(state.segment_path(n), params, n, chunks) for n in alive}
-    blocks = np.empty((chunks, params.k, params.n), dtype=np.int64)
-    for chunk in range(chunks):
-        try:
-            word = codec.decode(params, {n: rows[chunk] for n, rows in segments.items()})
-        except ValueError as exc:
-            raise IntegrityError(f"chunk {chunk} failed to decode: {exc}") from None
-        blocks[chunk] = word[: params.k]
     try:
-        data = codec.unchunk(blocks, state.manifest.original_length, params)
+        words = codec.decode(params, segments)
+        data = codec.unchunk(words[:, : params.k], state.manifest.original_length, params)
     except ValueError as exc:
         raise IntegrityError(str(exc)) from None
     if out_path is not None:

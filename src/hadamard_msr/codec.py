@@ -230,12 +230,15 @@ def encode_blocks(params: CodeParams, blocks) -> np.ndarray:
 
 
 def decode(params: CodeParams, available: dict) -> np.ndarray:
-    """Full codeword from any >= k surviving node vectors.
+    """Full codewords from any >= k surviving nodes.
 
-    `available` maps node ids (1-based; parities are k+1 and k+2) to length-N
-    vectors.  Up to two missing nodes are reconstructed: missing parities by
-    re-encoding, one missing systematic from either parity, two missing
-    systematics by entrywise 2x2 elimination against both parities.
+    `available` maps node ids (1-based; parities are k+1 and k+2) to rows of
+    one shared shape (..., N), one per codeword; returns (..., k+2, N).  Up
+    to two missing nodes are reconstructed: missing parities by re-encoding,
+    one missing systematic from either parity, two missing systematics by
+    entrywise 2x2 elimination against both parities.  A surviving parity
+    that disagrees raises; for stacked rows the message names the first bad
+    row (over the flattened leading axes) as the failing chunk.
     """
     k, q, n = params.k, params.q, params.n
     if len(available) < k:
@@ -244,10 +247,10 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
     for node, vec in available.items():
         if not 1 <= node <= k + 2:
             raise ValueError(f"unknown node id {node}")
-        vec = np.asarray(vec, dtype=np.int64) % q
-        if vec.shape != (n,):
-            raise ValueError(f"node {node} vector must have shape ({n},)")
-        data[node] = vec
+        data[node] = np.asarray(vec, dtype=np.int64) % q
+    shape = data[node].shape  # the last node's; every node must match it
+    if shape[-1:] != (n,) or any(v.shape != shape for v in data.values()):
+        raise ValueError(f"every node's rows must have one shape (..., {n})")
 
     missing = [i for i in range(1, k + 1) if i not in data]
     if len(missing) == 1:
@@ -286,11 +289,15 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
         data[j] = fj
         data[i] = (rhs1 - fj) % q
 
-    parts = np.stack([data[i] for i in range(1, k + 1)])
-    word = encode(params, parts)
-    for node in (k + 1, k + 2):
-        if node in data and not np.array_equal(word[node - 1], data[node]):
-            raise ValueError(f"surviving node {node} is inconsistent with decoded data")
+    word = _with_parities(params, np.stack([data[i] for i in range(1, k + 1)], axis=-2))
+    parities = [node for node in (k + 1, k + 2) if node in data]
+    if parities:
+        # the first flag set lies in the lowest row, there in parity k+1 first
+        bad = np.concatenate([word[..., node - 1, :] != data[node] for node in parities], axis=-1)
+        if bad.any():
+            chunk, col = divmod(int(bad.argmax()), len(parities) * n)
+            msg = f"surviving node {parities[col // n]} is inconsistent with decoded data"
+            raise ValueError(msg if word.ndim == 2 else f"chunk {chunk} failed to decode: {msg}")
     return word
 
 

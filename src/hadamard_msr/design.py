@@ -65,18 +65,20 @@ def sylvester(k: int) -> np.ndarray:
 
 
 def fast_hadamard_apply(z, q: int | None = None) -> np.ndarray:
-    """Sylvester-Hadamard transform via in-place butterflies.
+    """Sylvester-Hadamard transform of each row of z, via in-place butterflies.
 
-    A length n = 2**m input takes m butterfly levels, each output of a level
-    being the sum or difference of two values.  Reduces mod q when a modulus
-    is given, else works over the integers.
+    Rows run along the last axis; a row of length n = 2**m takes m butterfly
+    levels, each output of a level being the sum or difference of two values.
+    Reduces mod q after every level when a modulus is given, else works over
+    the integers.
     """
-    out = np.array(z, dtype=np.int64)
-    n = out.size
+    out = np.array(z, dtype=np.int64, order="C")
+    n = out.shape[-1] if out.ndim else 0
     if n == 0 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
     h = 1
     while h < n:
+        # rows are whole multiples of 2h, so one reshape pairs every row's halves
         blocks = out.reshape(-1, 2 * h)
         a = blocks[:, :h].copy()
         b = blocks[:, h:].copy()
@@ -85,25 +87,24 @@ def fast_hadamard_apply(z, q: int | None = None) -> np.ndarray:
         if q is not None:
             out %= q
         h *= 2
-    if q is not None:
-        out %= q
     return out
 
 
 def half_hadamard_apply(z, sign: int, q: int | None = None) -> np.ndarray:
-    """Product of the half-height block matrix (H | sign*H) with z.
+    """Product of the half-height block matrix (H | sign*H) with each row of z.
 
-    H is the Sylvester matrix of order n/2 for an input of length n = 2**m.
-    Computed as two half-length transforms plus one signed combine.
+    H is the Sylvester matrix of order n/2 for rows of length n = 2**m along
+    the last axis.  Computed as two half-length transforms plus one signed
+    combine.
     """
     z = np.asarray(z, dtype=np.int64)
-    n = z.size
+    n = z.shape[-1] if z.ndim else 0
     if n < 2 or n & (n - 1):
         raise ValueError(f"input length must be a power of two >= 2, got {n}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     half = n // 2
-    top = fast_hadamard_apply(z[:half], q)
-    bottom = fast_hadamard_apply(z[half:], q)
+    top = fast_hadamard_apply(z[..., :half], q)
+    bottom = fast_hadamard_apply(z[..., half:], q)
     out = top + sign * bottom
     return out % q if q is not None else out

@@ -1,4 +1,4 @@
-"""Arithmetic in a prime field F_q: inverses, rank, and matrix inversion.
+"""Arithmetic in a prime field F_q: inverses and rank.
 
 Symbols are canonical ints in [0, q).  Repair execution works on plain numpy
 arrays reduced mod q; what a repair costs in field operations is a property
@@ -80,23 +80,3 @@ class PrimeField:
                 a[below] = (a[below] - a[below, c : c + 1] * a[r]) % self.q
             r += 1
         return r
-
-    def inv_matrix(self, matrix) -> np.ndarray:
-        a = np.array(matrix, dtype=np.int64) % self.q
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("inverse needs a square matrix")
-        n = a.shape[0]
-        aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-        for c in range(n):
-            pivots = np.nonzero(aug[c:, c])[0]
-            if pivots.size == 0:
-                raise ValueError("matrix is singular")
-            p = c + int(pivots[0])
-            if p != c:
-                aug[[c, p]] = aug[[p, c]]
-            aug[c] = aug[c] * self.inv(int(aug[c, c])) % self.q
-            others = np.nonzero(aug[:, c])[0]
-            others = others[others != c]
-            if others.size:
-                aug[others] = (aug[others] - aug[others, c : c + 1] * aug[c]) % self.q
-        return aug[:, n:]

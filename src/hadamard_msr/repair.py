@@ -11,9 +11,10 @@ failed node's content alone, and recover, which inverts the stacked relation
 Two strategies share the same column; the "new" one keeps payloads in the
 standard basis, where every repair-matrix row has two +-1 entries, while the
 "original" one re-expresses the same functionals in the Sylvester-Hadamard
-basis: downloads ride the fast transform, but cancellation and recovery turn
-dense.  RepairPlan.cost() derives what that difference costs per phase from
-the plan's constants alone; execution itself is uncounted.
+basis, a change of basis of the new plan: downloads ride the fast transform,
+but cancellation and recovery turn dense.  RepairPlan.cost() derives what
+that difference costs per phase from the plan's constants alone; execution
+itself is uncounted and runs on rows of shape (..., N), one per chunk.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .codec import (
     encode,
     inverse_coding_matrix,
 )
-from .design import half_hadamard_apply, lemma2_partner, sylvester
+from .design import fast_hadamard_apply, half_hadamard_apply, lemma2_partner, sylvester
 
 STANDARD = "standard"
 SYLVESTER = "sylvester"
@@ -91,18 +92,21 @@ class RepairMatrix:
         out = std if self.kind == STANDARD else sylvester(half.bit_length() - 1) @ std
         return out if q is None else out % q
 
-    def apply(self, vec, q: int) -> np.ndarray:
-        """Matrix-vector product exploiting the two-per-row shape.
+    def apply(self, rows, q: int) -> np.ndarray:
+        """Product with rows of shape (..., N) exploiting the two-per-row
+        shape; returns (..., N/2).
 
         Standard basis: one signed sum per row.  Sylvester basis: the gathered
         halves feed two fast transforms plus a signed combine.
         """
-        vec = np.asarray(vec, dtype=np.int64)
-        if vec.shape != (self.n,):
-            raise ValueError(f"vector must have shape ({self.n},)")
+        # symbol axis first: plain indexing gathers one row or stacked rows
+        cols = np.asarray(rows, dtype=np.int64).T
+        if cols.shape[:1] != (self.n,):
+            raise ValueError(f"rows must have shape (..., {self.n})")
         if self.kind == STANDARD:
-            return (vec[self.first] + self.second_sign * vec[self.second]) % q
-        gathered = np.concatenate([vec[self.first], vec[self.second]])
+            combine = np.add if self.second_sign > 0 else np.subtract
+            return (combine(cols[self.first], cols[self.second]) % q).T
+        gathered = np.concatenate([cols[self.first], cols[self.second]]).T
         return half_hadamard_apply(gathered, self.second_sign, q)
 
 
@@ -149,10 +153,11 @@ class HelperTask:
     matrix: RepairMatrix
     premultiply: np.ndarray | None = None
 
-    def payload(self, vec, q: int) -> np.ndarray:
+    def payload(self, rows, q: int) -> np.ndarray:
+        """Payload of each row of shape (..., N); returns (..., N/2)."""
         if self.premultiply is not None:
-            vec = self.premultiply * np.asarray(vec, dtype=np.int64) % q
-        return self.matrix.apply(vec, q)
+            rows = self.premultiply * np.asarray(rows, dtype=np.int64) % q
+        return self.matrix.apply(rows, q)
 
 
 @dataclass(frozen=True)
@@ -211,28 +216,35 @@ class RepairPlan:
         return self.recover_map
 
     def assemble(self, payloads: dict) -> np.ndarray:
-        """Cancel interference and recover the failed node's N symbols."""
-        q = self.params.q
+        """Cancel interference and recover the failed node's N symbols from
+        payloads of one shared shape (..., N/2); returns (..., N)."""
+        q, n = self.params.q, self.params.n
         combine = np.add if self.cancel_sign > 0 else np.subtract
         u1 = np.array(payloads[self.seeds[0]], dtype=np.int64)
         u2 = np.array(payloads[self.seeds[1]], dtype=np.int64)
+        shape = u1.shape
+        if shape[-1:] != (n // 2,) or u2.shape != shape:
+            raise ValueError(f"payloads must share one shape (..., {n // 2})")
         for node in self.cancel_nodes:
             d = np.asarray(payloads[node], dtype=np.int64)
+            if d.shape != shape:
+                raise ValueError(f"payloads must share one shape (..., {n // 2})")
             if self.cancel_dense is None:
                 scaled = self.cancel_diagonals[node] * d
             else:
-                scaled = self.cancel_dense[node] @ d
+                scaled = d @ self.cancel_dense[node].T
             combine(u1, d, out=u1)
             combine(u2, scaled, out=u2)
         u1 %= q
         u2 %= q
         r = self.recover_map
         if isinstance(r, PairRecover):
-            out = np.empty(self.params.n, dtype=np.int64)
-            out[r.j1] = (r.w11 * u1 + r.w12 * u2) % q
-            out[r.j2] = (r.w21 * u1 + r.w22 * u2) % q
+            out = np.empty(shape[:-1] + (n,), dtype=np.int64)
+            cols = out.T  # symbol axis first, as in RepairMatrix.apply
+            cols[r.j1] = ((r.w11 * u1 + r.w12 * u2) % q).T
+            cols[r.j2] = ((r.w21 * u1 + r.w22 * u2) % q).T
             return out
-        return r @ np.concatenate([u1, u2]) % q
+        return np.concatenate([u1, u2], axis=-1) @ r.T % q
 
     def cost(self) -> dict:
         """Per-phase (adds, muls) of repairing one chunk, from the plan alone.
@@ -330,8 +342,11 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
 
     The interference diagonals B_l sample the case's difference diagonal at
     each row's first column; the recover map inverts the stacked relation
-    u1 = S g, u2 = (S~ D) g, pairwise in the standard basis and by dense
-    Gauss-Jordan elimination in the Sylvester basis.
+    u1 = S g, u2 = (S~ D) g pairwise, one 2x2 block per row.  The Sylvester
+    plan is the same plan after a change of basis: its payloads are H times
+    the standard ones, with H the Sylvester matrix of order N/2 and
+    H^-1 = H / (N/2), so each cancel diagonal B becomes H B H^-1 and the
+    recover map becomes R blockdiag(H^-1, H^-1).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -343,29 +358,29 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
     )
     j1, j2 = s.first, s.second
     cancel_diagonals = {l: d[j1] for l, d in interference.items()}
+    c1 = diag_recover[j1] % q
+    c2 = s_tilde.second_sign * diag_recover[j2] % q
+    det_inv = f.inv_vec(c2 - s.second_sign * c1)
+    recover: PairRecover | np.ndarray = PairRecover(
+        j1=j1,
+        j2=j2,
+        w11=c2 * det_inv % q,
+        w12=-s.second_sign * det_inv % q,
+        w21=-c1 * det_inv % q,
+        w22=det_inv,
+    )
     cancel_dense = None
     if kind == SYLVESTER:
-        h = sylvester(params.k)
-        h_inv = h * f.inv(s.rows) % q
+        half_inv = f.inv(s.rows)
+        # H[r, m] H[m, c] = H[r ^ c, m], so (H B H^-1)[r, c] = (H b)[r ^ c] / (N/2)
+        xor = np.bitwise_xor.outer(np.arange(s.rows), np.arange(s.rows))
         cancel_dense = {
-            l: h @ np.diag(b) @ h_inv % q for l, b in cancel_diagonals.items()
+            l: fast_hadamard_apply(b, q)[xor] * half_inv % q
+            for l, b in cancel_diagonals.items()
         }
-
-    if kind == STANDARD:
-        c1 = diag_recover[j1] % q
-        c2 = s_tilde.second_sign * diag_recover[j2] % q
-        det_inv = f.inv_vec(c2 - s.second_sign * c1)
-        recover: PairRecover | np.ndarray = PairRecover(
-            j1=j1,
-            j2=j2,
-            w11=c2 * det_inv % q,
-            w12=-s.second_sign * det_inv % q,
-            w21=-c1 * det_inv % q,
-            w22=det_inv,
-        )
-    else:
-        stack = np.vstack([s.dense(q), s_tilde.dense(q) * diag_recover[None, :] % q])
-        recover = f.inv_matrix(stack)
+        # R blockdiag(H^-1, H^-1): both halves of every row of R times H / (N/2)
+        halves = recover.dense(params.n).reshape(params.n, 2, s.rows)
+        recover = fast_hadamard_apply(halves, q).reshape(params.n, -1) * half_inv % q
 
     return RepairPlan(
         params=params,

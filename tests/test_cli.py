@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +328,20 @@ class TestLiveness:
             assert len(stats) <= 2 + 3, stats
 
 
+def names(root):
+    return sorted(path.name for path in root.iterdir())
+
+
+# what a k=2 cluster holds after a failed repair of node 2
+CRASHED_REPAIR_2 = [
+    "manifest.txt",
+    "node-01.seg",
+    "node-02.seg.dead",
+    "node-03.seg",
+    "node-04.seg",
+]
+
+
 class TestCrash:
     """A failing rename leaves a cluster that decodes and a command that reruns."""
 
@@ -352,6 +367,7 @@ class TestCrash:
             assert main(["repair", str(root), "2"]) == 2
             assert calls == [root / "node-02.seg"]
         assert "injected failure" in capsys.readouterr().err
+        assert names(root) == CRASHED_REPAIR_2
         assert main(["kill", str(root), "2"]) == 1
         assert "node 2 is already dead" in capsys.readouterr().err
         out = tmp_path / "out.bin"
@@ -359,6 +375,27 @@ class TestCrash:
         assert out.read_bytes() == data
         assert main(["repair", str(root), "2"]) == 0
         assert len(list(root.iterdir())) == 2 + 3
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+
+    def test_repair_write_fails(self, tmp_path, blob, capsys, monkeypatch):
+        # the device fills up partway through writing the rebuilt segment
+        _, data = blob
+        root = encode_cluster(tmp_path, blob)
+        assert main(["kill", str(root), "2"]) == 0
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, content):
+            write_bytes(path, content[:10])
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(Path, "write_bytes", disk_full)
+            assert main(["repair", str(root), "2"]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert names(root) == CRASHED_REPAIR_2
+        assert main(["repair", str(root), "2"]) == 0
+        out = tmp_path / "out.bin"
         assert main(["decode", str(root), "--out", str(out)]) == 0
         assert out.read_bytes() == data
 
@@ -372,6 +409,7 @@ class TestCrash:
             self.failing_replace(m, fail_on_call)
             assert main(argv) == 2
         assert not (root / "manifest.txt").exists()
+        assert not [name for name in names(root) if name.endswith(".tmp")]
         assert main(["decode", str(root)]) == 1
         assert main(argv) == 0
         assert len(list(root.iterdir())) == 2 + 3

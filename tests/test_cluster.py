@@ -413,18 +413,46 @@ class TestDecode:
         with pytest.raises(UnrecoverableError, match="alive"):
             cmd_decode(state.root)
 
+    @staticmethod
+    def bump(state, node, chunk):
+        """Add one to the first symbol of a record (still a field element)."""
+        segment = state.segment_path(node)
+        raw = bytearray(segment.read_bytes())
+        at = 14 + 2 * chunk * state.params.n
+        val = int.from_bytes(raw[at : at + 2], "little")
+        raw[at : at + 2] = ((val + 1) % state.params.q).to_bytes(2, "little")
+        segment.write_bytes(bytes(raw))
+
     def test_corrupt_shard_detected(self, tmp_path, payload):
-        # bump one symbol of a survivor (still a field element); the decode
-        # cross-check against the second parity catches it
+        # the decode cross-check against the second parity catches a bumped
+        # symbol of a survivor
         state, _ = make_cluster(tmp_path, payload)
         cmd_kill(state.root, 1)
-        segment = state.segment_path(2)
-        raw = bytearray(segment.read_bytes())
-        val = int.from_bytes(raw[14:16], "little")  # record 0, first symbol
-        raw[14:16] = ((val + 1) % 7).to_bytes(2, "little")
-        segment.write_bytes(bytes(raw))
-        with pytest.raises(IntegrityError, match="failed to decode"):
+        self.bump(state, 2, 0)
+        with pytest.raises(IntegrityError) as err:
             cmd_decode(state.root)
+        assert str(err.value) == (
+            "chunk 0 failed to decode: surviving node 4 is inconsistent with decoded data"
+        )
+
+    def test_lowest_bad_chunk_named(self, tmp_path, payload):
+        # chunk 3 is bad in the first parity, chunk 1 in the second: the
+        # lower chunk is named, whichever parity caught it
+        state, _ = make_cluster(tmp_path, payload)
+        self.bump(state, 3, 3)
+        self.bump(state, 4, 1)
+        with pytest.raises(IntegrityError) as err:
+            cmd_decode(state.root)
+        assert str(err.value) == (
+            "chunk 1 failed to decode: surviving node 4 is inconsistent with decoded data"
+        )
+        # both parities bad in one chunk: the first parity is named
+        self.bump(state, 3, 1)
+        with pytest.raises(IntegrityError) as err:
+            cmd_decode(state.root)
+        assert str(err.value) == (
+            "chunk 1 failed to decode: surviving node 3 is inconsistent with decoded data"
+        )
 
 
 class TestVerify:

@@ -147,26 +147,6 @@ class TestLinearAlgebra:
         wraps = np.array([[1, 3], [2, 13 % 7]])
         assert f.rank(wraps) == 1
 
-    @given(st.data())
-    def test_inv_matrix_round_trip(self, data):
-        q = data.draw(st.sampled_from((7, 11, 13)))
-        f = PrimeField(q)
-        n = data.draw(st.integers(1, 5))
-        mat = np.array(
-            data.draw(
-                st.lists(
-                    st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
-                    min_size=n,
-                    max_size=n,
-                )
-            )
-        )
-        if f.rank(mat) < n:
-            with pytest.raises(ValueError):
-                f.inv_matrix(mat)
-        else:
-            assert np.array_equal(f.inv_matrix(mat) @ mat % q, np.eye(n, dtype=np.int64))
-
     def test_inv_vec(self):
         f = PrimeField(7)
         vals = np.array([1, 2, 3, 4, 5, 6])

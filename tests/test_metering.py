@@ -101,6 +101,75 @@ def test_plan_cost_matches_instrumented_counts(key, searched_params):
     assert list(cost) == ["download", "cancel", "recover"]
 
 
+# The same per-phase counts for search_params(7) and search_params(8), keyed
+# by (k, node, strategy), captured from plan.cost() while the Sylvester
+# recover map was still found by Gauss-Jordan elimination, before it was
+# derived from the standard plan by a change of basis.
+PHASE_COUNTS_K7_K8 = {
+    (7, 1, "new"): ((1024, 0), (1536, 704), (256, 512)),
+    (7, 1, "original"): ((15360, 0), (3072, 1536), (65280, 32768)),
+    (7, 2, "new"): ((1024, 0), (1536, 704), (256, 512)),
+    (7, 2, "original"): ((15360, 0), (3072, 1536), (65280, 32768)),
+    (7, 3, "new"): ((1024, 0), (1536, 736), (256, 448)),
+    (7, 3, "original"): ((15360, 0), (3072, 1536), (65280, 65536)),
+    (7, 4, "new"): ((1024, 0), (1536, 736), (256, 448)),
+    (7, 4, "original"): ((15360, 0), (3072, 1536), (65280, 65536)),
+    (7, 5, "new"): ((1024, 0), (1536, 704), (256, 512)),
+    (7, 5, "original"): ((15360, 0), (3072, 1536), (65280, 57344)),
+    (7, 6, "new"): ((1024, 0), (1536, 704), (256, 512)),
+    (7, 6, "original"): ((15360, 0), (3072, 1536), (65280, 57344)),
+    (7, 7, "new"): ((1024, 0), (1536, 704), (256, 256)),
+    (7, 7, "original"): ((15360, 0), (3072, 1536), (65280, 57344)),
+    (7, 8, "new"): ((1024, 0), (1536, 640), (256, 512)),
+    (7, 8, "original"): ((15360, 0), (3072, 2048), (65280, 57344)),
+    (7, 9, "new"): ((1024, 1664), (1536, 640), (256, 256)),
+    (7, 9, "original"): ((15360, 1664), (3840, 2944), (65280, 65536)),
+    (8, 1, "new"): ((2304, 0), (3584, 1664), (512, 1024)),
+    (8, 1, "original"): ((39168, 0), (7168, 3584), (261632, 262144)),
+    (8, 2, "new"): ((2304, 0), (3584, 1664), (512, 1024)),
+    (8, 2, "original"): ((39168, 0), (7168, 3584), (261632, 262144)),
+    (8, 3, "new"): ((2304, 0), (3584, 1728), (512, 896)),
+    (8, 3, "original"): ((39168, 0), (7168, 3584), (261632, 262144)),
+    (8, 4, "new"): ((2304, 0), (3584, 1728), (512, 896)),
+    (8, 4, "original"): ((39168, 0), (7168, 3584), (261632, 262144)),
+    (8, 5, "new"): ((2304, 0), (3584, 1664), (512, 1024)),
+    (8, 5, "original"): ((39168, 0), (7168, 3584), (261632, 229376)),
+    (8, 6, "new"): ((2304, 0), (3584, 1664), (512, 1024)),
+    (8, 6, "original"): ((39168, 0), (7168, 3584), (261632, 229376)),
+    (8, 7, "new"): ((2304, 0), (3584, 1664), (512, 512)),
+    (8, 7, "original"): ((39168, 0), (7168, 3584), (261632, 262144)),
+    (8, 8, "new"): ((2304, 0), (3584, 1664), (512, 512)),
+    (8, 8, "original"): ((39168, 0), (7168, 3584), (261632, 262144)),
+    (8, 9, "new"): ((2304, 0), (3584, 1536), (512, 1024)),
+    (8, 9, "original"): ((39168, 0), (7168, 4864), (261632, 131072)),
+    (8, 10, "new"): ((2304, 3840), (3584, 1536), (512, 512)),
+    (8, 10, "original"): ((39168, 3840), (8960, 6656), (261632, 262144)),
+}
+
+
+@pytest.fixture(scope="module")
+def params_k7_k8():
+    return {k: search_params(k) for k in (7, 8)}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(PHASE_COUNTS_K7_K8), ids=lambda key: "-".join(map(str, key))
+)
+def test_plan_cost_matches_pinned_counts_k7_k8(key, params_k7_k8):
+    k, node, strategy = key
+    cost = build_repair_plan(params_k7_k8[k], node, strategy).cost()
+    assert tuple(cost.values()) == PHASE_COUNTS_K7_K8[key]
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_counts_and_bounds_k7_k8(k, params_k7_k8):
+    # measure_repair also runs each repair and checks the rebuilt node
+    params = params_k7_k8[k]
+    for node in range(1, k + 3):
+        assert measure_repair(params, node, "new").adds == (3 * k + 1) * params.n // 2
+        assert measure_repair(params, node, "original").within_bounds, node
+
+
 class TestBounds:
     @pytest.mark.parametrize(
         "k,node_class,strategy,expected",

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hadamard_msr.codec import CodeParams, demo_params, encode
+from hadamard_msr.codec import CodeParams, demo_params, encode, encode_blocks
 from hadamard_msr.design import sylvester
 from hadamard_msr.repair import (
     STANDARD,
@@ -199,6 +199,34 @@ class TestPlans:
             b = execute_repair(build_repair_plan(demo_k3, node, "original"), word)
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_batch_matches_one_codeword_at_a_time(self, k, strategy, batch, rng, searched_params):
+        params = params_for(k, searched_params)
+        words = encode_blocks(params, rng.integers(0, params.q, size=(batch, k, params.n)))
+        for node in range(1, k + 3):
+            plan = build_repair_plan(params, node, strategy)
+            payloads = {h: plan.helper_payload(h, words[:, h - 1]) for h in plan.helper_matrices}
+            for h, rows in payloads.items():
+                singles = [plan.helper_payload(h, w[h - 1]) for w in words]
+                assert np.array_equal(rows, np.stack(singles)), (node, h)
+            got = plan.assemble(payloads)
+            singles = [execute_repair(plan, w) for w in words]
+            assert np.array_equal(got, np.stack(singles)), node
+            assert np.array_equal(got, words[:, node - 1]), node
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_mismatched_payload_shapes_rejected(self, strategy, demo_k2):
+        plan = build_repair_plan(demo_k2, 1, strategy)
+        rows = {h: np.zeros((3, 4), dtype=np.int64) for h in plan.helper_matrices}
+        for node in (*plan.seeds, *plan.cancel_nodes):
+            for bad in (np.zeros((1, 4)), np.zeros(4), np.zeros((3, 5))):
+                with pytest.raises(ValueError, match="shape"):
+                    plan.assemble({**rows, node: bad})
+        with pytest.raises(ValueError, match="shape"):
+            plan.helper_payload(2, np.zeros((3, 4)))
+
     def test_counter_phases_populated(self, demo_k2):
         cost = build_repair_plan(demo_k2, 1, "new").cost()
         assert list(cost) == ["download", "cancel", "recover"]
@@ -219,21 +247,18 @@ class TestPlans:
             dense = plan.recover_dense() % demo_k2.q
             assert np.all((dense != 0).sum(axis=1) <= 2)
 
-    def test_recover_dense_inverts_selection(self, demo_k2):
+    def test_recover_dense_inverts_selection(self, searched_params):
         # recovering from [S g; S~ D g] must reproduce g: R @ stacked = I
-        q = demo_k2.q
-        for strategy in STRATEGIES:
-            kind = STRATEGY_BASIS[strategy]
-            for node in range(1, 5):
-                plan = build_repair_plan(demo_k2, node, strategy)
-                s, s_tilde, _, _, _, diag, _, _ = _plan_pieces(demo_k2, node, kind)
+        for k, strategy in itertools.product(range(2, 7), STRATEGIES):
+            params = params_for(k, searched_params)
+            q, kind = params.q, STRATEGY_BASIS[strategy]
+            for node in range(1, k + 3):
+                plan = build_repair_plan(params, node, strategy)
+                s, s_tilde, _, _, _, diag, _, _ = _plan_pieces(params, node, kind)
                 r = plan.recover_dense() % q
-                stacked = np.vstack(
-                    [s.dense(q), s_tilde.dense(q) * diag[None, :] % q]
-                )
-                assert np.array_equal(
-                    r @ stacked % q, np.eye(demo_k2.n, dtype=np.int64)
-                )
+                stacked = np.vstack([s.dense(q), s_tilde.dense(q) * diag[None, :] % q])
+                eye = np.eye(params.n, dtype=np.int64)
+                assert np.array_equal(r @ stacked % q, eye), (k, strategy, node)
 
 
 def costly(consts, q):
