@@ -77,7 +77,8 @@ def write_segment(path: Path, params: CodeParams, node: int, rows) -> None:
 
 
 def read_segment(path: Path, params: CodeParams, node: int, chunks: int) -> np.ndarray:
-    """Parse and validate one node's segment; returns its (chunks, N) rows."""
+    """Parse and validate one node's segment; returns its (chunks, N) rows,
+    read-only and as stored ("<u2")."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
@@ -98,7 +99,7 @@ def read_segment(path: Path, params: CodeParams, node: int, chunks: int) -> np.n
         raise IntegrityError(
             f"segment {path} has wrong size for {chunks} chunks ({count} in its header)"
         )
-    rows = np.frombuffer(raw, dtype="<u2", offset=_HEADER.size).astype(np.int64)
+    rows = np.frombuffer(raw, dtype="<u2", offset=_HEADER.size)
     if rows.size and rows.max() >= params.q:
         raise IntegrityError(f"segment {path} holds symbols outside F_{params.q}")
     return rows.reshape(chunks, params.n)
@@ -109,22 +110,20 @@ class Manifest:
     params: CodeParams
     chunk_count: int
     original_length: int
-    packing: int
-    version: int = FORMAT_VERSION
 
     def save(self, root: Path) -> None:
         p = self.params
         text = "".join(
             f"{key}: {value}\n"
             for key, value in (
-                ("version", self.version),
+                ("version", FORMAT_VERSION),
                 ("k", p.k),
                 ("q", p.q),
                 ("a", ",".join(map(str, p.a))),
                 ("b", ",".join(map(str, p.b))),
                 ("chunk_count", self.chunk_count),
                 ("original_length", self.original_length),
-                ("packing", self.packing),
+                ("packing", bits_per_symbol(p.q)),
             )
         )
         _write_replace(root / MANIFEST_NAME, text.encode())
@@ -170,15 +169,9 @@ class Manifest:
             )
         if chunk_count < 0 or original_length < 0:
             raise IntegrityError("manifest counts must be non-negative")
-        if chunk_count * k * params.n * packing < original_length * 8:
+        if chunk_count * params.chunk_bytes < original_length:
             raise IntegrityError("manifest chunk capacity below recorded length")
-        return cls(
-            params=params,
-            chunk_count=chunk_count,
-            original_length=original_length,
-            packing=packing,
-            version=version,
-        )
+        return cls(params=params, chunk_count=chunk_count, original_length=original_length)
 
     def validated_params(self) -> CodeParams:
         p = self.params
@@ -244,12 +237,7 @@ def cmd_encode(
     data = input_path.read_bytes()
     blocks = codec.chunk_file(data, params)
     words = codec.encode_blocks(params, blocks)
-    manifest = Manifest(
-        params=params,
-        chunk_count=blocks.shape[0],
-        original_length=len(data),
-        packing=bits_per_symbol(params.q),
-    )
+    manifest = Manifest(params=params, chunk_count=blocks.shape[0], original_length=len(data))
     out_dir.mkdir(parents=True, exist_ok=True)
     state = ClusterState(root=out_dir, manifest=manifest)
     for node in range(1, params.k + 3):

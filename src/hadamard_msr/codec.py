@@ -109,6 +109,12 @@ class CodeParams:
         return self.k + 2
 
     @property
+    def chunk_bytes(self) -> int:
+        """Input bytes per chunk: k*N symbols of bits_per_symbol(q) bits each,
+        a whole number of bytes because N >= 8."""
+        return self.k * self.n * bits_per_symbol(self.q) // 8
+
+    @property
     def field(self) -> PrimeField:
         return PrimeField(self.q)
 
@@ -309,24 +315,18 @@ def bits_per_symbol(q: int) -> int:
 
 
 def chunk_file(data: bytes, params: CodeParams) -> np.ndarray:
-    """Pack bytes into (chunks, k, N) symbol blocks, zero-padded at the tail.
+    """Pack bytes into (chunks, k, N) int64 symbol blocks.
 
-    Bits are consumed MSB-first in groups of bits_per_symbol(q), so every
+    The bytes are zero-padded to whole chunks of params.chunk_bytes, and
+    their bits are read MSB-first in groups of bits_per_symbol(q), so every
     symbol value stays below 2**bits <= q.
     """
     bits = bits_per_symbol(params.q)
-    block = params.k * params.n
     raw = np.frombuffer(data, dtype=np.uint8)
-    if raw.size == 0:
-        return np.empty((0, params.k, params.n), dtype=np.int64)
-    bitstream = np.unpackbits(raw)
-    if bitstream.size % bits:
-        bitstream = np.pad(bitstream, (0, bits - bitstream.size % bits))
-    weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
-    symbols = bitstream.reshape(-1, bits).astype(np.int64) @ weights
-    if symbols.size % block:
-        symbols = np.pad(symbols, (0, block - symbols.size % block))
-    return symbols.reshape(-1, params.k, params.n)
+    padded = np.pad(raw, (0, -raw.size % params.chunk_bytes))
+    weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.uint8)
+    symbols = np.unpackbits(padded).reshape(-1, bits) @ weights  # uint8: sums <= 255
+    return symbols.astype(np.int64).reshape(-1, params.k, params.n)
 
 
 def unchunk(blocks, original_length: int, params: CodeParams) -> bytes:
@@ -334,17 +334,16 @@ def unchunk(blocks, original_length: int, params: CodeParams) -> bytes:
 
     Rejects symbol values that no packed byte stream could produce, which
     catches corrupted or mis-decoded blocks before they round-trip silently.
+    Each checked symbol is narrowed to one byte and its low `bits` bits are
+    repacked MSB-first.
     """
     bits = bits_per_symbol(params.q)
     blocks = np.asarray(blocks, dtype=np.int64)
-    symbols = blocks.reshape(-1)
     limit = min(1 << bits, params.q)
-    if symbols.size * bits < original_length * 8:
+    if blocks.size * bits < original_length * 8:
         raise ValueError("not enough symbols for the recorded length")
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= limit):
+    if blocks.size and (blocks.min() < 0 or blocks.max() >= limit):
         raise ValueError("corrupt symbol stream: value out of packing range")
-    if original_length == 0:
-        return b""
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    bitstream = ((symbols[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    return np.packbits(bitstream[: original_length * 8]).tobytes()[:original_length]
+    symbols = blocks.astype(np.uint8).reshape(-1, 1) << (8 - bits)
+    bitstream = np.unpackbits(symbols, axis=-1, count=bits)
+    return np.packbits(bitstream)[:original_length].tobytes()

@@ -20,7 +20,7 @@ from hadamard_msr.cluster import (
     read_segment,
     write_segment,
 )
-from hadamard_msr.codec import demo_params
+from hadamard_msr.codec import bits_per_symbol, demo_params
 from hadamard_msr.repair import verify_params
 
 
@@ -142,7 +142,7 @@ class TestShardFormat:
 
 class TestManifest:
     def test_round_trip(self, tmp_path, demo_k3):
-        m = Manifest(params=demo_k3, chunk_count=5, original_length=29, packing=3)
+        m = Manifest(params=demo_k3, chunk_count=5, original_length=29)
         m.save(tmp_path)
         loaded = Manifest.load(tmp_path)
         assert loaded == m
@@ -152,21 +152,21 @@ class TestManifest:
             Manifest.load(tmp_path)
 
     def test_v1_manifest_refused(self, tmp_path, demo_k2):
-        Manifest(params=demo_k2, chunk_count=1, original_length=4, packing=2).save(tmp_path)
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
         text = (tmp_path / "manifest.txt").read_text().replace("version: 2", "version: 1")
         (tmp_path / "manifest.txt").write_text(text)
         with pytest.raises(IntegrityError, match="unsupported manifest version 1"):
             Manifest.load(tmp_path)
 
     def test_malformed_line(self, tmp_path, demo_k2):
-        Manifest(params=demo_k2, chunk_count=1, original_length=4, packing=2).save(tmp_path)
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
         text = (tmp_path / "manifest.txt").read_text()
         (tmp_path / "manifest.txt").write_text(text + "rogue line\n")
         with pytest.raises(IntegrityError, match="key: value"):
             Manifest.load(tmp_path)
 
     def test_missing_field(self, tmp_path, demo_k2):
-        Manifest(params=demo_k2, chunk_count=1, original_length=4, packing=2).save(tmp_path)
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
         text = (tmp_path / "manifest.txt").read_text()
         filtered = "\n".join(l for l in text.splitlines() if not l.startswith("packing"))
         (tmp_path / "manifest.txt").write_text(filtered + "\n")
@@ -174,14 +174,14 @@ class TestManifest:
             Manifest.load(tmp_path)
 
     def test_packing_must_match_q(self, tmp_path, demo_k2):
-        Manifest(params=demo_k2, chunk_count=1, original_length=4, packing=2).save(tmp_path)
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
         text = (tmp_path / "manifest.txt").read_text().replace("packing: 2", "packing: 3")
         (tmp_path / "manifest.txt").write_text(text)
         with pytest.raises(IntegrityError, match="packing"):
             Manifest.load(tmp_path)
 
     def test_capacity_check(self, tmp_path, demo_k2):
-        Manifest(params=demo_k2, chunk_count=1, original_length=4, packing=2).save(tmp_path)
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
         text = (tmp_path / "manifest.txt").read_text().replace(
             "original_length: 4", "original_length: 400"
         )
@@ -190,7 +190,7 @@ class TestManifest:
             Manifest.load(tmp_path)
 
     def test_tampered_coefficients_load_but_fail_validation(self, tmp_path, demo_k2):
-        Manifest(params=demo_k2, chunk_count=1, original_length=4, packing=2).save(tmp_path)
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
         text = (tmp_path / "manifest.txt").read_text().replace("a: 1,1", "a: 0,1")
         (tmp_path / "manifest.txt").write_text(text)
         loaded = Manifest.load(tmp_path)
@@ -253,7 +253,7 @@ class TestEncode:
         path, _ = payload
         state = cmd_encode(path, tmp_path / "cluster", k=4)
         assert state.params.k == 4
-        assert state.manifest.packing >= 3
+        assert bits_per_symbol(state.params.q) >= 3
 
     def test_decode_untouched(self, tmp_path, payload):
         state, data = make_cluster(tmp_path, payload, k=3)

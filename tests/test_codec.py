@@ -285,6 +285,44 @@ class TestDecode:
             decode(demo_k2, available)
 
 
+def bitwise_chunk_file(data: bytes, params: CodeParams) -> np.ndarray:
+    """Reference packer: every input bit widened to an int64 and regrouped."""
+    bits = bits_per_symbol(params.q)
+    block = params.k * params.n
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size == 0:
+        return np.empty((0, params.k, params.n), dtype=np.int64)
+    bitstream = np.unpackbits(raw)
+    if bitstream.size % bits:
+        bitstream = np.pad(bitstream, (0, bits - bitstream.size % bits))
+    weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
+    symbols = bitstream.reshape(-1, bits).astype(np.int64) @ weights
+    if symbols.size % block:
+        symbols = np.pad(symbols, (0, block - symbols.size % block))
+    return symbols.reshape(-1, params.k, params.n)
+
+
+def bitwise_unchunk(blocks, original_length: int, params: CodeParams) -> bytes:
+    """Reference unpacker: every symbol expanded to `bits` int64 bits."""
+    bits = bits_per_symbol(params.q)
+    blocks = np.asarray(blocks, dtype=np.int64)
+    symbols = blocks.reshape(-1)
+    limit = min(1 << bits, params.q)
+    if symbols.size * bits < original_length * 8:
+        raise ValueError("not enough symbols for the recorded length")
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= limit):
+        raise ValueError("corrupt symbol stream: value out of packing range")
+    if original_length == 0:
+        return b""
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+    bitstream = ((symbols[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    return np.packbits(bitstream[: original_length * 8]).tobytes()[:original_length]
+
+
+# one modulus per packing width, 2 to 8 bits
+PACKING_QS = (7, 11, 17, 37, 67, 131, 257)
+
+
 class TestPacking:
     @pytest.mark.parametrize(
         "q,bits", [(7, 2), (11, 3), (17, 4), (127, 6), (251, 7), (257, 8), (12289, 8)]
@@ -292,10 +330,31 @@ class TestPacking:
     def test_bits_per_symbol(self, q, bits):
         assert bits_per_symbol(q) == bits
 
-    @given(st.binary(max_size=400))
+    def test_chunk_bytes(self, demo_k2):
+        assert demo_k2.chunk_bytes == 4
+        assert CodeParams(3, 257, (1, 1, 4), (60, 197, 70)).chunk_bytes == 48
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("q", PACKING_QS)
+    def test_matches_bitwise_reference(self, q, k, rng):
+        p = CodeParams(k, q, (1,) * k, (1,) * k, check=False)
+        c = p.chunk_bytes
+        assert c * 8 == k * p.n * bits_per_symbol(q)
+        for length in (0, 1, c - 1, c, c + 1, 2 * c + 1, 3 * c):
+            data = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+            blocks = chunk_file(data, p)
+            expected = bitwise_chunk_file(data, p)
+            assert blocks.dtype == expected.dtype == np.int64
+            assert blocks.shape == expected.shape
+            assert np.array_equal(blocks, expected)
+            assert blocks.shape[0] == -(-length // c)
+            for stored in (blocks, blocks.astype(np.uint16)):
+                assert unchunk(stored, length, p) == bitwise_unchunk(stored, length, p) == data
+
+    @given(st.binary(max_size=400), st.sampled_from(PACKING_QS))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_k2(self, data):
-        p = demo_params(2)
+    def test_round_trip_k2(self, data, q):
+        p = CodeParams(2, q, (1, 1), (1, 1), check=False)
         blocks = chunk_file(data, p)
         assert blocks.ndim == 3 and blocks.shape[1:] == (2, 8)
         assert unchunk(blocks, len(data), p) == data

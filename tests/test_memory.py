@@ -1,0 +1,65 @@
+"""Peak-allocation gates for packing, encode and decode.
+
+tracemalloc sees numpy's array buffers, so a peak here is the extra memory a
+call allocates, measured on 1 MiB of input at k=3.  The bounds are in bytes
+per input byte; widening every input bit to an int64 costs 64 on its own.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hadamard_msr import codec
+from hadamard_msr.cluster import cmd_decode, cmd_encode, cmd_kill
+
+SIZE = 1 << 20
+
+
+@pytest.fixture(scope="module")
+def data():
+    return np.random.default_rng(12).integers(0, 256, SIZE, dtype=np.uint8).tobytes()
+
+
+def peak_of(fn):
+    """(result, peak bytes newly allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q", [11, 257])
+def test_chunk_file_peak(data, q):
+    p = codec.search_params(3, q)
+    blocks, peak = peak_of(lambda: codec.chunk_file(data, p))
+    assert peak <= blocks.nbytes + 8 * SIZE
+
+
+@pytest.mark.parametrize("q", [11, 257])
+def test_unchunk_peak(data, q):
+    p = codec.search_params(3, q)
+    blocks = codec.chunk_file(data, p)
+    out, peak = peak_of(lambda: codec.unchunk(blocks, SIZE, p))
+    assert out == data
+    assert peak <= 16 * SIZE
+
+
+def test_encode_peak(data, tmp_path):
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    _, peak = peak_of(lambda: cmd_encode(src, tmp_path / "cluster", k=3, q=257))
+    assert peak <= 48 * SIZE
+
+
+def test_decode_peak_one_dead_node(data, tmp_path):
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    root = tmp_path / "cluster"
+    cmd_encode(src, root, k=3, q=257)
+    cmd_kill(root, 2)
+    out, peak = peak_of(lambda: cmd_decode(root))
+    assert out == data
+    assert peak <= 64 * SIZE
