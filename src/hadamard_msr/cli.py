@@ -72,7 +72,10 @@ def _cmd_bench(args) -> int:
     strategies = tuple(args.strategy) if args.strategy else tuple(STRATEGIES)
     if args.csv and len(k_values) != 1:
         raise cluster.UsageError("--csv covers a single code; pass exactly one --k")
-    tables = cmd_bench(k_values, strategies)
+    try:
+        tables = cmd_bench(k_values, strategies)
+    except ValueError as exc:
+        raise cluster.UsageError(str(exc)) from None
     for table in tables:
         print(table.csv if args.csv else table.text)
     return 0

@@ -217,8 +217,10 @@ def cmd_encode(
     """
     input_path = Path(input_path)
     out_dir = Path(out_dir)
-    if not input_path.is_file():
+    if not input_path.exists():
         raise UsageError(f"input file {input_path} not found")
+    if input_path.is_dir():
+        raise UsageError(f"input {input_path} is a directory, not a file")
     if (out_dir / MANIFEST_NAME).exists():
         raise UsageError(f"{out_dir} already holds a cluster")
     if demo:

@@ -1,16 +1,19 @@
-"""Sign-vector combinatorics and fast transforms on length-2**(k+1) blocks.
+"""Sign-vector combinatorics and the fast Sylvester-Hadamard transform.
 
 The coding matrices of the codec are diagonal, built from sign vectors x_i
 whose j-th entry is (-1)**floor(j / 2**i).  Two index relations drive the
 repair schemes: shifting an index by 2**l flips the sign of x_i exactly when
 i = l (lemma1_relation), and the mirrored partner N-1-j-(-1)**j flips every
 x_i except x_0 (lemma2_partner).  The Sylvester-Hadamard matrix and its fast
-butterfly transform tie the standard basis to the alternative helper basis.
-The transforms only compute; their addition count is charged once per repair
-plan by RepairPlan.cost().
+transform, two matmuls through a Kronecker split, tie the standard basis to
+the alternative helper basis.  The transform only computes; the addition
+count of the published schedule is charged once per repair plan by
+RepairPlan.cost().
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,47 +67,32 @@ def sylvester(k: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _kron_factor(m: int) -> np.ndarray:
+    """Read-only Sylvester matrix of order 2**m, the 1x1 identity for m = 0."""
+    h = sylvester(m) if m else np.ones((1, 1), dtype=np.int64)
+    h.flags.writeable = False
+    return h
+
+
 def fast_hadamard_apply(z, q: int | None = None) -> np.ndarray:
-    """Sylvester-Hadamard transform of each row of z, via in-place butterflies.
+    """Sylvester-Hadamard transform of each row of z, with no Python loop.
 
-    Rows run along the last axis; a row of length n = 2**m takes m butterfly
-    levels, each output of a level being the sum or difference of two values.
-    Reduces mod q after every level when a modulus is given, else works over
-    the integers.
-    """
-    out = np.array(z, dtype=np.int64, order="C")
-    n = out.shape[-1] if out.ndim else 0
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    h = 1
-    while h < n:
-        # rows are whole multiples of 2h, so one reshape pairs every row's halves
-        blocks = out.reshape(-1, 2 * h)
-        a = blocks[:, :h].copy()
-        b = blocks[:, h:].copy()
-        blocks[:, :h] = a + b
-        blocks[:, h:] = a - b
-        if q is not None:
-            out %= q
-        h *= 2
-    return out
-
-
-def half_hadamard_apply(z, sign: int, q: int | None = None) -> np.ndarray:
-    """Product of the half-height block matrix (H | sign*H) with each row of z.
-
-    H is the Sylvester matrix of order n/2 for rows of length n = 2**m along
-    the last axis.  Computed as two half-length transforms plus one signed
-    combine.
+    Rows run along the last axis.  A row of length n = 2**m is split by
+    H_(2**m) = H_(2**a) kron H_(2**(m-a)), a = m // 2: reshaped to a
+    (2**a, 2**(m-a)) block Z, it maps to H_a Z H_b, two integer matmuls.
+    With a modulus the input is reduced first, so every sum stays below
+    2**m * q, and the output is reduced once; without one the transform
+    runs over the integers.
     """
     z = np.asarray(z, dtype=np.int64)
     n = z.shape[-1] if z.ndim else 0
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"input length must be a power of two >= 2, got {n}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    half = n // 2
-    top = fast_hadamard_apply(z[..., :half], q)
-    bottom = fast_hadamard_apply(z[..., half:], q)
-    out = top + sign * bottom
+    if n == 0 or n & (n - 1):
+        raise ValueError(f"transform length must be a power of two, got {n}")
+    m = n.bit_length() - 1
+    a = m // 2
+    if q is not None:
+        z = z % q
+    blocks = z.reshape(z.shape[:-1] + (1 << a, n >> a))
+    out = (_kron_factor(a) @ blocks @ _kron_factor(m - a)).reshape(z.shape)
     return out % q if q is not None else out

@@ -11,10 +11,11 @@ failed node's content alone, and recover, which inverts the stacked relation
 Two strategies share the same column; the "new" one keeps payloads in the
 standard basis, where every repair-matrix row has two +-1 entries, while the
 "original" one re-expresses the same functionals in the Sylvester-Hadamard
-basis, a change of basis of the new plan: downloads ride the fast transform,
-but cancellation and recovery turn dense.  RepairPlan.cost() derives what
-that difference costs per phase from the plan's constants alone; execution
-itself is uncounted and runs on rows of shape (..., N), one per chunk.
+basis, a change of basis of the new plan: each download is the standard
+payload followed by one fast transform, but cancellation and recovery turn
+dense.  RepairPlan.cost() derives what that difference costs per phase from
+the plan's constants alone; execution itself is uncounted and runs on rows
+of shape (..., N), one per chunk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .codec import (
     encode,
     inverse_coding_matrix,
 )
-from .design import fast_hadamard_apply, half_hadamard_apply, lemma2_partner, sylvester
+from .design import fast_hadamard_apply, lemma2_partner, sylvester
 
 STANDARD = "standard"
 SYLVESTER = "sylvester"
@@ -46,10 +47,10 @@ class RepairMatrix:
     The basis of F_q^(N/2) is either the unit vectors (kind "standard") or
     the Sylvester-Hadamard columns (kind "sylvester").  Each basis index
     appears in exactly two columns; with the standard basis the dense form
-    therefore has two +-1 entries per row.  All constructions here have +1
-    on the first occurrence of every row and one uniform sign on the second
-    occurrences, which is what lets the Sylvester-basis form ride
-    half_hadamard_apply.
+    therefore has two +-1 entries per row, and the Sylvester form is H times
+    it.  All constructions here have +1 on the first occurrence of every row
+    and one uniform sign on the second occurrences, so either form is one
+    signed combine of paired columns, plus one fast transform for Sylvester.
     """
 
     def __init__(self, kind: str, index, sign):
@@ -96,18 +97,16 @@ class RepairMatrix:
         """Product with rows of shape (..., N) exploiting the two-per-row
         shape; returns (..., N/2).
 
-        Standard basis: one signed sum per row.  Sylvester basis: the gathered
-        halves feed two fast transforms plus a signed combine.
+        One signed sum per row gives the standard-basis product S x; the
+        Sylvester basis then applies one fast transform, H (S x).
         """
         # symbol axis first: plain indexing gathers one row or stacked rows
         cols = np.asarray(rows, dtype=np.int64).T
         if cols.shape[:1] != (self.n,):
             raise ValueError(f"rows must have shape (..., {self.n})")
-        if self.kind == STANDARD:
-            combine = np.add if self.second_sign > 0 else np.subtract
-            return (combine(cols[self.first], cols[self.second]) % q).T
-        gathered = np.concatenate([cols[self.first], cols[self.second]]).T
-        return half_hadamard_apply(gathered, self.second_sign, q)
+        combine = np.add if self.second_sign > 0 else np.subtract
+        out = combine(cols[self.first], cols[self.second]).T
+        return out % q if self.kind == STANDARD else fast_hadamard_apply(out, q)
 
 
 def systematic_repair_matrix(k: int, i: int, kind: str) -> RepairMatrix:
@@ -268,8 +267,9 @@ class RepairPlan:
 
         download = [0, 0]
         for task in self.helper_matrices.values():
-            # standard: one add per row; sylvester: two length-N/2 transforms
-            # (k*N/2 adds each) plus one signed combine
+            # standard: one add per row; sylvester: the published schedule of
+            # two length-N/2 transforms (k*N/2 adds each) plus one signed
+            # combine, a cost model rather than a trace of apply()
             rows = task.matrix.rows
             download[0] += rows if task.matrix.kind == STANDARD else (2 * k + 1) * rows
             if task.premultiply is not None:

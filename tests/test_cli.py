@@ -59,6 +59,36 @@ class TestEncodeDecode:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_input_is_usage_error(self, tmp_path, capsys):
+        rc = main(["encode", str(tmp_path), str(tmp_path / "c"), "--k", "2", "--demo"])
+        assert rc == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_dev_null_input(self, tmp_path, capsys):
+        # a character device, not a regular file: encodes to a 0-chunk cluster
+        root = tmp_path / "c"
+        assert main(["encode", os.devnull, str(root), "--k", "2", "--demo"]) == 0
+        assert "encoded 0 bytes into 0 chunks" in capsys.readouterr().out
+        out = tmp_path / "out.bin"
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+
+    def test_pipe_input(self, tmp_path, blob, capsys):
+        # the whole payload fits the pipe buffer, so no writer thread is needed
+        _, data = blob
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, data)
+            os.close(write_fd)
+            root = tmp_path / "c"
+            rc = main(["encode", f"/dev/fd/{read_fd}", str(root), "--k", "2", "--demo"])
+        finally:
+            os.close(read_fd)
+        assert rc == 0
+        out = tmp_path / "out.bin"
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+
     def test_double_encode_refused(self, tmp_path, blob, capsys):
         encode_cluster(tmp_path, blob)
         path, _ = blob
@@ -169,6 +199,11 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_too_small_k_is_usage_error(self, k, capsys):
+        assert main(["bench", "--k", str(k)]) == 1
+        assert capsys.readouterr().err == f"error: k must be at least 2, got {k}\n"
 
     def test_csv_multiple_k_rejected(self, capsys):
         assert main(["bench", "--k", "2", "--k", "3", "--csv"]) == 1

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from hadamard_msr.design import (
     fast_hadamard_apply,
-    half_hadamard_apply,
     lemma1_relation,
     lemma2_partner,
     sign_vector,
@@ -130,25 +129,55 @@ class TestFastTransform:
         twice = fast_hadamard_apply(fast_hadamard_apply(z.copy(), q=q), q=q)
         assert np.array_equal(twice, z * n % q)
 
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_stacked_rows_match_dense(self, k):
+        # k = 0 is a length-1 row, where both Kronecker factors are 1x1 and
+        # the transform is the identity
+        n = 1 << k
+        dense = sylvester(k) if k else np.ones((1, 1), dtype=np.int64)
+        z = np.random.default_rng(k).integers(-6, 7, size=(2, 3, n), dtype=np.int64)
+        assert np.array_equal(fast_hadamard_apply(z, q=13), z @ dense.T % 13)
+        assert np.array_equal(fast_hadamard_apply(z), z @ dense.T)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_unreduced_input_with_modulus(self, k):
+        # reduced mod q before the matmuls: negative and ~2^40 inputs must
+        # neither overflow nor change the residues
+        n = 1 << k
+        q = 257
+        rng = np.random.default_rng(100 + k)
+        big = 1 << 40
+        z = rng.integers(-big, big, size=(4, n), dtype=np.int64)
+        z[0, 0], z[1, -1], z[2, 0] = big - 1, -big, -1
+        expected = (z % q) @ sylvester(k) % q
+        assert np.array_equal(fast_hadamard_apply(z, q=q), expected)
+
+    def test_input_not_modified(self):
+        z = np.arange(-8, 8, dtype=np.int64)
+        before = z.copy()
+        fast_hadamard_apply(z, q=5)
+        fast_hadamard_apply(z)
+        assert np.array_equal(z, before)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             fast_hadamard_apply(np.arange(6))
+        with pytest.raises(ValueError):
+            fast_hadamard_apply(np.zeros((2, 0), dtype=np.int64))
 
 
 class TestHalfTransform:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("k", range(1, 6))
     def test_matches_block_matrix(self, k, sign):
-        # applying [H | sign*H] to a length-2^(k+1) vector
+        # the half-height block matrix [H | sign*H] applied to a
+        # length-2^(k+1) vector is one transform after a signed combine,
+        # the identity a Sylvester-basis helper payload rests on
         n = 1 << k
         q = 13
         rng = np.random.default_rng(10 * k + sign)
         z = rng.integers(0, q, size=2 * n, dtype=np.int64)
         h = sylvester(k)
         dense = np.hstack([h, sign * h])
-        out = half_hadamard_apply(z.copy(), sign, q=q)
+        out = fast_hadamard_apply(z[:n] + sign * z[n:], q=q)
         assert np.array_equal(out, dense @ z % q)
-
-    def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError):
-            half_hadamard_apply(np.arange(8), 2)

@@ -123,17 +123,24 @@ class TestSelectorStructure:
         assert np.linalg.matrix_rank(stacked.astype(float)) == n
 
     @pytest.mark.parametrize("basis_kind", ["standard", "sylvester"])
-    @pytest.mark.parametrize("k", range(2, 6))
+    @pytest.mark.parametrize("k", range(2, 9))
     def test_apply_matches_dense(self, k, basis_kind, rng):
+        # every matrix of the case list, so both second-occurrence signs,
+        # on one row and on a stack of rows
         q = 13
         for m in all_matrices(k, basis_kind):
+            dense = m.dense(q)
             vec = rng.integers(0, q, size=m.n, dtype=np.int64)
-            assert np.array_equal(m.apply(vec, q), m.dense(q) @ vec % q)
+            assert np.array_equal(m.apply(vec, q), dense @ vec % q)
+            rows = rng.integers(0, q, size=(3, m.n), dtype=np.int64)
+            assert np.array_equal(m.apply(rows, q), rows @ dense.T % q)
+        assert {m.second_sign for m in all_matrices(k, basis_kind)} == {1, -1}
 
     def test_download_cost_per_helper(self, searched_params):
-        # standard basis: one add per output row; sylvester: two butterfly
-        # transforms plus a combining pass; no helper multiplies when a
-        # systematic node fails
+        # standard basis: one add per output row; sylvester: the published
+        # schedule of two length-N/2 transforms plus a combining pass, the
+        # paper's cost model rather than a trace of the executed matmuls; no
+        # helper multiplies when a systematic node fails
         for k in (2, 3, 4):
             params = params_for(k, searched_params)
             n, helpers = params.n, k + 1
@@ -141,6 +148,16 @@ class TestSelectorStructure:
             assert new == (helpers * n // 2, 0)
             original = build_repair_plan(params, 1, "original").cost()["download"]
             assert original == (helpers * (2 * k + 1) * n // 2, 0)
+
+    def test_bad_signs_rejected(self):
+        m = systematic_repair_matrix(2, 1, STANDARD)
+        for sign, match in (
+            (2 * m.sign, "signs must be"),
+            (-m.sign, "first occurrence"),
+            (np.where(np.arange(m.n) == m.second[0], -1, 1), "uniform"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                RepairMatrix(SYLVESTER, m.index, sign)
 
     def test_unknown_kind_rejected(self):
         m = systematic_repair_matrix(2, 1, STANDARD)
