@@ -194,10 +194,11 @@ class BenchTable:
 
 def emit_table(params: CodeParams, strategies: tuple = ("new", "original")) -> BenchTable:
     """Measure every (node, strategy) pair and bundle the report rows."""
+    rng = np.random.default_rng(0)
     reports = []
     for node in range(1, params.k + 3):
         for strategy in strategies:
-            reports.append(measure_repair(params, node, strategy))
+            reports.append(measure_repair(params, node, strategy, rng))
     return BenchTable(params=params, reports=tuple(reports))
 
 

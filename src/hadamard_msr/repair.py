@@ -14,14 +14,19 @@ standard basis, where every repair-matrix row has two +-1 entries, while the
 basis, a change of basis of the new plan: each download is the standard
 payload followed by one fast transform, but cancellation and recovery turn
 dense.  RepairPlan.cost() derives what that difference costs per phase from
-the plan's constants alone; execution itself is uncounted and runs on rows
-of shape (..., N), one per chunk.
+the plan's constants alone, and it is the only source of counts.
+
+Execution is uncounted and runs tables compiled once per plan
+(RepairPlan.compiled) on rows of shape (..., N), one per chunk: one stacked
+download for all k+1 helpers, then, in the standard basis, one pair-sparse
+product that cancels and recovers at once; the Sylvester basis keeps its
+dense cancel and recover as two products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,17 +68,17 @@ class RepairMatrix:
         half = n // 2
         if n < 4 or n & (n - 1) or self.sign.shape != (n,):
             raise ValueError("need N = 2^(k+1) >= 4 columns of index and sign")
-        if not np.all(np.bincount(self.index, minlength=half) == 2):
+        if not (np.bincount(self.index, minlength=half) == 2).all():
             raise ValueError("every basis index must be used exactly twice")
-        if not np.all(np.abs(self.sign) == 1):
+        if not (np.abs(self.sign) == 1).all():
             raise ValueError("signs must be +1 or -1")
         order = np.argsort(self.index, kind="stable").reshape(half, 2)
         self.first = order[:, 0]
         self.second = order[:, 1]
-        if not np.all(self.sign[self.first] == 1):
+        if not (self.sign[self.first] == 1).all():
             raise ValueError("first occurrence of each row must carry sign +1")
-        seconds = np.unique(self.sign[self.second])
-        if seconds.size != 1:
+        seconds = self.sign[self.second]
+        if (seconds != seconds[0]).any():
             raise ValueError("second-occurrence signs must be uniform")
         self.second_sign = int(seconds[0])
 
@@ -100,13 +105,32 @@ class RepairMatrix:
         One signed sum per row gives the standard-basis product S x; the
         Sylvester basis then applies one fast transform, H (S x).
         """
-        # symbol axis first: plain indexing gathers one row or stacked rows
-        cols = np.asarray(rows, dtype=np.int64).T
-        if cols.shape[:1] != (self.n,):
+        x = np.asarray(rows, dtype=np.int64)
+        if x.shape[-1:] != (self.n,):
             raise ValueError(f"rows must have shape (..., {self.n})")
-        combine = np.add if self.second_sign > 0 else np.subtract
-        out = combine(cols[self.first], cols[self.second]).T
-        return out % q if self.kind == STANDARD else fast_hadamard_apply(out, q)
+        sign = None if self.second_sign > 0 else -1
+        return _pair_sums(x, (Ellipsis,), self.first, self.second, None, sign, self.kind, q)
+
+
+def _pair_sums(x, pick, first, second, scale_first, scale_second, kind, q):
+    """The one download kernel: x[pick + (first,)] * scale_first +
+    x[pick + (second,)] * scale_second mod q, a scale of None being all ones,
+    then in the Sylvester basis one fast transform of every payload row.
+
+    `pick` indexes the leading axes: (Ellipsis,) for plain rows (..., N),
+    (Ellipsis, rows) to gather helper rows out of (..., nodes, N).
+    """
+    a = x[pick + (first,)]
+    b = x[pick + (second,)]
+    if scale_first is not None:
+        a *= scale_first
+    if scale_second is not None:
+        b *= scale_second
+    a += b
+    # batched gathers come out column-major; C order spares the recover
+    # gather and the transform's reshape a copy
+    a = np.remainder(a, q, order="C")
+    return a if kind == STANDARD else fast_hadamard_apply(a) % q
 
 
 def systematic_repair_matrix(k: int, i: int, kind: str) -> RepairMatrix:
@@ -186,8 +210,150 @@ class PairRecover:
 
 
 @dataclass(frozen=True)
+class CompiledRepair:
+    """A plan's execution tables, derived once from the plan's fields.
+
+    The helpers are the seeds followed by the cancel nodes (combine order);
+    `rows` holds their codeword rows.  All of them pair the same columns
+    `first`/`second`, so the k+1 downloads are one stacked signed sum, with
+    each helper's premultiply and second sign folded into `scale_first` and
+    `scale_second` (None where all ones).
+
+    In the standard basis cancel and recover fold into one pair-sparse map
+    over the payloads P (..., k+1, N/2),
+    out[j] = sum_i weights[i, j] * P[i, gather[j]]: two entries per output
+    from each helper, reduced once, every partial sum below (k+1) q^2.  In
+    the Sylvester basis that fold would be a dense (k+1) N/2 x N table whose
+    build costs (k-1) N (N/2)^2 multiply-adds per plan, so the dense cancel
+    (`cancel_t`, the transposed B_l) and recover (`recover_t`) stay two
+    products, each over all chunks at once.
+    """
+
+    q: int
+    kind: str
+    order: tuple
+    rows: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    scale_first: np.ndarray | None
+    scale_second: np.ndarray | None
+    gather: np.ndarray | None
+    weights: np.ndarray | None
+    cancel_sign: int
+    cancel_t: tuple
+    recover_t: np.ndarray | None
+
+    def download(self, x, rows=None, helpers=slice(None)) -> np.ndarray:
+        """Payloads (..., h, N/2) of the helpers `helpers` of the combine
+        order, whose rows are x[..., rows, :] (x itself when rows is None)."""
+        pick = (Ellipsis,) if rows is None else (Ellipsis, rows)
+        scales = [None if s is None else s[helpers] for s in (self.scale_first, self.scale_second)]
+        return _pair_sums(x, pick, self.first, self.second, *scales, self.kind, self.q)
+
+    def recover(self, payloads: np.ndarray) -> np.ndarray:
+        """Cancel and recover stacked payloads (..., k+1, N/2)."""
+        if self.weights is None:
+            return self._cancel_then_recover([payloads[..., i, :] for i in range(len(self.order))])
+        picked = np.take(payloads, self.gather, axis=-1)
+        picked *= self.weights
+        out = picked.sum(axis=-2)
+        out %= self.q
+        return out
+
+    def accumulate(self, payloads: list) -> np.ndarray:
+        """recover() over one payload array (..., N/2) per helper, in combine
+        order, summed helper by helper instead of stacked."""
+        if self.weights is None:
+            return self._cancel_then_recover(payloads)
+        out = None
+        for p, w in zip(payloads, self.weights):
+            term = np.take(p, self.gather, axis=-1)
+            term *= w
+            if out is None:
+                out = term
+            else:
+                out += term
+        out %= self.q
+        return out
+
+    def _cancel_then_recover(self, payloads: list) -> np.ndarray:
+        combine = np.add if self.cancel_sign > 0 else np.subtract
+        u1, u2 = (np.array(p) for p in payloads[:2])
+        for p, b_t in zip(payloads[2:], self.cancel_t):
+            combine(u1, p, out=u1)
+            combine(u2, p @ b_t, out=u2)
+        u = np.concatenate((u1, u2), axis=-1)
+        u %= self.q
+        out = u @ self.recover_t
+        out %= self.q
+        return out
+
+
+def _compile(plan: RepairPlan) -> CompiledRepair:
+    q, n = plan.params.q, plan.params.n
+    half = n // 2
+    order = (*plan.seeds, *plan.cancel_nodes)
+    if sorted(order) != sorted(plan.helper_matrices):
+        raise ValueError("the helpers must be the seeds and the cancel nodes")
+    tasks = [plan.helper_matrices[node] for node in order]
+    m = tasks[0].matrix
+    for t in tasks:
+        same = t.matrix.index is m.index or np.array_equal(t.matrix.index, m.index)
+        if t.matrix.kind != m.kind or not same:
+            raise ValueError("every helper must pair the same columns in the same basis")
+    signs = [[t.matrix.second_sign] for t in tasks]
+    scale_first = None
+    scale_second = None if signs == [[1]] * len(tasks) else np.array(signs)
+    if any(t.premultiply is not None for t in tasks):
+        ones = np.ones(n, dtype=np.int64)
+        pre = np.array([ones if t.premultiply is None else t.premultiply for t in tasks])
+        scale_first = pre[:, m.first]
+        scale_second = signs * pre[:, m.second]
+
+    # u1 = P_seed1 + c P_l and u2 = P_seed2 + c B_l P_l over the cancel nodes
+    # l, with B_l diagonal in cancel_diagonals or dense in cancel_dense
+    c, r = plan.cancel_sign, plan.recover_map
+    gather = weights = recover_t = None
+    cancel_t = ()
+    if plan.cancel_dense is None:
+        # out[j1] = w11 u1 + w12 u2 and out[j2] = w21 u1 + w22 u2, per helper
+        b = np.array([plan.cancel_diagonals[l] for l in plan.cancel_nodes])
+        weights = np.empty((len(order), n), dtype=np.int64)
+        for j, w1, w2 in ((r.j1, r.w11, r.w12), (r.j2, r.w21, r.w22)):
+            weights[0, j] = w1
+            weights[1, j] = w2
+            weights[2:, j] = (w1 + w2 * b) * c
+        weights %= q
+        gather = np.empty(n, dtype=np.intp)
+        gather[r.j1] = gather[r.j2] = np.arange(half)
+    else:
+        cancel_t = tuple(plan.cancel_dense[l].T for l in plan.cancel_nodes)
+        recover_t = plan.recover_dense().T
+    return CompiledRepair(
+        q=q,
+        kind=m.kind,
+        order=order,
+        rows=np.array([[node - 1] for node in order]),
+        first=m.first,
+        second=m.second,
+        scale_first=scale_first,
+        scale_second=scale_second,
+        gather=gather,
+        weights=weights,
+        cancel_sign=c,
+        cancel_t=cancel_t,
+        recover_t=recover_t,
+    )
+
+
+@dataclass(frozen=True)
 class RepairPlan:
-    """Everything needed to rebuild one failed node from helper payloads."""
+    """Everything needed to rebuild one failed node from helper payloads.
+
+    `compiled`, its execution tables, is derived from the fields on first
+    use and kept on the instance; a plan made with dataclasses.replace
+    compiles its own.
+    """
 
     params: CodeParams
     failed: int
@@ -200,14 +366,32 @@ class RepairPlan:
     cancel_sign: int
     recover_map: PairRecover | np.ndarray
 
+    @cached_property
+    def compiled(self) -> CompiledRepair:
+        return _compile(self)
+
     @property
     def downloaded_symbols(self) -> int:
         return (self.params.k + 1) * self.params.n // 2
 
+    def download(self, stack) -> np.ndarray:
+        """Payloads (..., k+1, N/2) of the helpers' rows (..., k+1, N),
+        stacked in combine order (`compiled.order`)."""
+        n, helpers = self.params.n, self.params.k + 1
+        x = np.asarray(stack, dtype=np.int64)
+        if x.shape[-2:] != (helpers, n):
+            raise ValueError(f"helper rows must have shape (..., {helpers}, {n})")
+        return self.compiled.download(x)
+
     def helper_payload(self, node: int, vec) -> np.ndarray:
+        """One helper's payload of rows (..., N): the one-row download."""
         if node not in self.helper_matrices:
             raise ValueError(f"node {node} is not a helper for this repair")
-        return self.helper_matrices[node].payload(vec, self.params.q)
+        x = np.asarray(vec, dtype=np.int64)
+        if x.shape[-1:] != (self.params.n,):
+            raise ValueError(f"rows must have shape (..., {self.params.n})")
+        i = self.compiled.order.index(node)
+        return self.compiled.download(x[..., None, :], helpers=slice(i, i + 1))[..., 0, :]
 
     def recover_dense(self) -> np.ndarray:
         if isinstance(self.recover_map, PairRecover):
@@ -217,33 +401,12 @@ class RepairPlan:
     def assemble(self, payloads: dict) -> np.ndarray:
         """Cancel interference and recover the failed node's N symbols from
         payloads of one shared shape (..., N/2); returns (..., N)."""
-        q, n = self.params.q, self.params.n
-        combine = np.add if self.cancel_sign > 0 else np.subtract
-        u1 = np.array(payloads[self.seeds[0]], dtype=np.int64)
-        u2 = np.array(payloads[self.seeds[1]], dtype=np.int64)
-        shape = u1.shape
-        if shape[-1:] != (n // 2,) or u2.shape != shape:
-            raise ValueError(f"payloads must share one shape (..., {n // 2})")
-        for node in self.cancel_nodes:
-            d = np.asarray(payloads[node], dtype=np.int64)
-            if d.shape != shape:
-                raise ValueError(f"payloads must share one shape (..., {n // 2})")
-            if self.cancel_dense is None:
-                scaled = self.cancel_diagonals[node] * d
-            else:
-                scaled = d @ self.cancel_dense[node].T
-            combine(u1, d, out=u1)
-            combine(u2, scaled, out=u2)
-        u1 %= q
-        u2 %= q
-        r = self.recover_map
-        if isinstance(r, PairRecover):
-            out = np.empty(shape[:-1] + (n,), dtype=np.int64)
-            cols = out.T  # symbol axis first, as in RepairMatrix.apply
-            cols[r.j1] = ((r.w11 * u1 + r.w12 * u2) % q).T
-            cols[r.j2] = ((r.w21 * u1 + r.w22 * u2) % q).T
-            return out
-        return np.concatenate([u1, u2], axis=-1) @ r.T % q
+        half = self.params.n // 2
+        rows = [np.asarray(payloads[node], dtype=np.int64) for node in self.compiled.order]
+        shape = rows[0].shape
+        if shape[-1:] != (half,) or any(p.shape != shape for p in rows):
+            raise ValueError(f"payloads must share one shape (..., {half})")
+        return self.compiled.accumulate(rows)
 
     def cost(self) -> dict:
         """Per-phase (adds, muls) of repairing one chunk, from the plan alone.
@@ -399,18 +562,27 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
 def execute_repair(plan: RepairPlan, survivors) -> np.ndarray:
     """Rebuild the failed node's content from the k+1 survivors.
 
-    `survivors` is either a map node id -> length-N vector covering all
-    helpers, or a full (k+2, N) codeword array whose failed row is ignored.
+    `survivors` is either a map node id -> rows of one shared shape (..., N)
+    covering all helpers, or codewords of shape (..., k+2, N) whose failed
+    row is ignored; returns (..., N).
     """
-    if not isinstance(survivors, dict):
+    n, width = plan.params.n, plan.params.k + 2
+    run = plan.compiled
+    if isinstance(survivors, dict):
+        missing = [node for node in run.order if node not in survivors]
+        if missing:
+            raise ValueError(f"missing helper data for node {missing[0]}")
+        rows = [np.asarray(survivors[node], dtype=np.int64) for node in run.order]
+        shape = rows[0].shape
+        if shape[-1:] != (n,) or any(r.shape != shape for r in rows):
+            raise ValueError(f"survivor rows must share one shape (..., {n})")
+        payloads = run.download(np.stack(rows, axis=-2))
+    else:
         word = np.asarray(survivors, dtype=np.int64)
-        survivors = {node: word[node - 1] for node in plan.helper_matrices}
-    payloads = {}
-    for node in plan.helper_matrices:
-        if node not in survivors:
-            raise ValueError(f"missing helper data for node {node}")
-        payloads[node] = plan.helper_payload(node, survivors[node])
-    return plan.assemble(payloads)
+        if word.shape[-2:] != (width, n):
+            raise ValueError(f"codewords must have shape (..., {width}, {n})")
+        payloads = run.download(word, rows=run.rows)
+    return run.recover(payloads)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,8 +219,10 @@ class TestPlans:
 
     @pytest.mark.parametrize("batch", [1, 7])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_batch_matches_one_codeword_at_a_time(self, k, strategy, batch, rng, searched_params):
+        # the batched API path, one call per codeword and the cluster path
+        # (helper payloads, then assemble) all rebuild the erased rows
         params = params_for(k, searched_params)
         words = encode_blocks(params, rng.integers(0, params.q, size=(batch, k, params.n)))
         for node in range(1, k + 3):
@@ -228,10 +231,91 @@ class TestPlans:
             for h, rows in payloads.items():
                 singles = [plan.helper_payload(h, w[h - 1]) for w in words]
                 assert np.array_equal(rows, np.stack(singles)), (node, h)
-            got = plan.assemble(payloads)
-            singles = [execute_repair(plan, w) for w in words]
-            assert np.array_equal(got, np.stack(singles)), node
-            assert np.array_equal(got, words[:, node - 1]), node
+            batched = execute_repair(plan, words)
+            singles = np.stack([execute_repair(plan, w) for w in words])
+            cluster = plan.assemble(payloads)
+            for got in (batched, singles, cluster):
+                assert got.shape == (batch, params.n), node
+                assert np.array_equal(got, words[:, node - 1]), node
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_execute_repair_input_shapes(self, strategy, demo_k3, rng):
+        params = demo_k3
+        n, width = params.n, params.k + 2
+        words = encode_blocks(params, rng.integers(0, params.q, size=(4, 3, n)))
+        for node in range(1, width + 1):
+            plan = build_repair_plan(params, node, strategy)
+            # any leading batch axes, in array or map form
+            nested = words.reshape(2, 2, width, n)
+            got = execute_repair(plan, nested)
+            assert np.array_equal(got, nested[..., node - 1, :]), node
+            survivors = {h: nested[..., h - 1, :] for h in plan.helper_matrices}
+            assert np.array_equal(execute_repair(plan, survivors), got), node
+        plan = build_repair_plan(params, 2, strategy)
+        expected = rf"\(\.\.\., {width}, {n}\)"
+        for bad in (
+            words[0, :-1],  # (k+1, N): a codeword without its last row
+            words[0, :, :-1],
+            np.pad(words[0], ((0, 0), (0, 1))),
+            words[..., :1, :],
+            words[0, 0],
+            np.int64(3),
+        ):
+            with pytest.raises(ValueError, match=expected):
+                execute_repair(plan, bad)
+        word = words[0]
+        rows = {h: word[h - 1] for h in plan.helper_matrices}
+        for bad in (
+            {**rows, 1: np.append(word[0], 0)},  # one wider row
+            {**rows, 3: word[None, 2]},  # one row with an extra axis
+            {h: np.append(r, 0) for h, r in rows.items()},  # all rows too wide
+            {h: r[:-1] for h, r in rows.items()},
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                execute_repair(plan, bad)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_download_is_concrete(self, k, strategy, rng, searched_params):
+        # the stacked download ships N/2 symbols per helper and codeword, row
+        # i being helper order[i]'s payload: the dense repair matrix applied
+        # to its (premultiplied) content
+        params = params_for(k, searched_params)
+        q, n = params.q, params.n
+        words = encode_blocks(params, rng.integers(0, q, size=(3, k, n)))
+        for node in range(1, k + 3):
+            plan = build_repair_plan(params, node, strategy)
+            order = plan.compiled.order
+            assert sorted(order) == sorted(plan.helper_matrices)
+            stack = words[:, np.array(order) - 1]
+            payloads = plan.download(stack)
+            assert payloads.shape == (3, k + 1, n // 2)
+            assert payloads[0].size == plan.downloaded_symbols
+            for i, h in enumerate(order):
+                task = plan.helper_matrices[h]
+                rows = words[:, h - 1]
+                assert np.array_equal(payloads[:, i], plan.helper_payload(h, rows)), (node, h)
+                assert np.array_equal(payloads[:, i], task.payload(rows, q)), (node, h)
+                scaled = rows if task.premultiply is None else rows * task.premultiply
+                assert np.array_equal(payloads[:, i], scaled @ task.matrix.dense(q).T % q)
+        with pytest.raises(ValueError, match="shape"):
+            plan.download(stack[:, 1:])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_results_own_their_symbols(self, strategy, demo_k3, rng):
+        # the API workloads keep every result, so none may pin a larger buffer
+        params = demo_k3
+        words = encode_blocks(params, rng.integers(0, params.q, size=(2, 3, params.n)))
+        for node in range(1, 6):
+            plan = build_repair_plan(params, node, strategy)
+            word = words[0]
+            survivors = {h: word[h - 1] for h in plan.helper_matrices}
+            for out in (execute_repair(plan, word), execute_repair(plan, survivors)):
+                assert out.base is None and out.shape == (params.n,), node
+                assert out.flags.owndata and out.nbytes == params.n * out.itemsize
+                assert not np.shares_memory(out, words)
+            batch = execute_repair(plan, words)
+            assert batch.base is None and batch.shape == (2, params.n), node
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_mismatched_payload_shapes_rejected(self, strategy, demo_k2):
@@ -276,6 +360,79 @@ class TestPlans:
                 stacked = np.vstack([s.dense(q), s_tilde.dense(q) * diag[None, :] % q])
                 eye = np.eye(params.n, dtype=np.int64)
                 assert np.array_equal(r @ stacked % q, eye), (k, strategy, node)
+
+
+def cancel_map(half, sign, blocks):
+    """[I 0 sI ...; 0 I sB_l ...]: the stacked payloads (seeds, then cancel
+    nodes) to [u1; u2], one B_l per cancel node."""
+    eye, zero = np.eye(half, dtype=np.int64), np.zeros((half, half), dtype=np.int64)
+    columns = [np.vstack([eye, zero]), np.vstack([zero, eye])]
+    columns += [sign * np.vstack([eye, b]) for b in blocks]
+    return np.hstack(columns)
+
+
+def fused_map(plan):
+    """The compiled cancel-and-recover map as a dense (N, (k+1) N/2) matrix
+    over the stacked payloads: the standard weights at their gathered
+    columns, or the Sylvester recover times cancel."""
+    run, q, n = plan.compiled, plan.params.q, plan.params.n
+    half = n // 2
+    if run.weights is None:
+        cancel = cancel_map(half, run.cancel_sign, [b.T for b in run.cancel_t])
+        return run.recover_t.T @ cancel % q
+    out = np.zeros((n, len(run.order) * half), dtype=np.int64)
+    for i in range(len(run.order)):
+        out[np.arange(n), i * half + run.gather] = run.weights[i]
+    return out
+
+
+def reference_map(plan):
+    """The same map written out from the plan's fields."""
+    half = plan.params.n // 2
+    if plan.cancel_dense is None:
+        blocks = [np.diag(plan.cancel_diagonals[l]) for l in plan.cancel_nodes]
+    else:
+        blocks = [plan.cancel_dense[l] for l in plan.cancel_nodes]
+    cancel = cancel_map(half, plan.cancel_sign, blocks)
+    return plan.recover_dense() @ cancel % plan.params.q
+
+
+class TestCompiledMaps:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_change_of_basis_ties_the_fused_maps(self, k, searched_params):
+        # a Sylvester payload is H times the standard one, so the standard
+        # fused map equals the Sylvester one times blockdiag(H, ..., H)
+        params = params_for(k, searched_params)
+        q, half = params.q, params.n // 2
+        h_blocks = np.kron(np.eye(k + 1, dtype=np.int64), sylvester(half.bit_length() - 1))
+        for node in range(1, k + 3):
+            new = build_repair_plan(params, node, "new")
+            original = build_repair_plan(params, node, "original")
+            assert new.compiled.order == original.compiled.order
+            standard = fused_map(new)
+            assert np.count_nonzero(standard, axis=1).max() <= k + 1
+            assert np.array_equal(standard, fused_map(original) @ h_blocks % q), node
+            for plan in (new, original):
+                assert np.array_equal(fused_map(plan), reference_map(plan)), (node, plan.strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_replace_recompiles(self, strategy, demo_k3, rng):
+        params = demo_k3
+        q = params.q
+        plan = build_repair_plan(params, 1, strategy)
+        stale = plan.compiled
+        twice = {l: 2 * d % q for l, d in plan.cancel_diagonals.items()}
+        changed = replace(plan, cancel_diagonals=twice)
+        if plan.cancel_dense is not None:
+            changed = replace(changed, cancel_dense={l: 2 * d % q for l, d in plan.cancel_dense.items()})
+        assert changed.compiled is not stale
+        assert np.array_equal(fused_map(changed), reference_map(changed))
+        assert not np.array_equal(fused_map(changed), fused_map(plan))
+        assert plan.compiled is stale
+        flipped = replace(plan, cancel_sign=-plan.cancel_sign)
+        assert np.array_equal(fused_map(flipped), reference_map(flipped))
+        word = encode(params, rng.integers(0, q, size=(3, params.n)))
+        assert np.array_equal(execute_repair(replace(plan), word), word[0])
 
 
 def costly(consts, q):
