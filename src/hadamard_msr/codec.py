@@ -6,6 +6,11 @@ with diagonal coding matrices A_i = a_i X_i + b_i X_0 + I.  The coefficient
 constraints make every A_i entrywise invertible and every difference
 A_i - A_j entrywise nonzero, which is exactly what two-erasure decoding
 needs.  Any two node failures are recoverable.
+
+Decoding is linear and diagonal per symbol position, so each erasure
+pattern compiles once into per-position weights over the surviving rows
+(_decode_map); a decode call is then one weighted sum that rebuilds the
+missing rows and tests every surviving parity's syndrome.
 """
 
 from __future__ import annotations
@@ -235,29 +240,23 @@ def encode_blocks(params: CodeParams, blocks) -> np.ndarray:
     return _with_parities(params, blocks)
 
 
-def decode(params: CodeParams, available: dict) -> np.ndarray:
-    """Full codewords from any >= k surviving nodes.
+@lru_cache(maxsize=None)
+def _decode_map(params: CodeParams, alive: tuple) -> tuple:
+    """Compiled decode from the survivors `alive` (sorted node ids):
+    (erased, parities, weights).
 
-    `available` maps node ids (1-based; parities are k+1 and k+2) to rows of
-    one shared shape (..., N), one per codeword; returns (..., k+2, N).  Up
-    to two missing nodes are reconstructed: missing parities by re-encoding,
-    one missing systematic from either parity, two missing systematics by
-    entrywise 2x2 elimination against both parities.  A surviving parity
-    that disagrees raises; for stacked rows the message names the first bad
-    row (over the flattened leading axes) as the failing chunk.
+    Decoding is linear, and diagonal per symbol position, so each erased
+    node and each surviving parity's syndrome (recomputed minus stored) is
+    the row sum_s weights[r, s] * x[s] over the codeword rows x: r runs over
+    `erased`, then over `parities`; erased rows carry zero weight.  The
+    weights come from running the closed-form solve once on unit probes,
+    survivor b set to all ones in batch slot b: missing parities by
+    re-encoding, one missing systematic from either parity, two by entrywise
+    2x2 elimination against both parities.
     """
     k, q, n = params.k, params.q, params.n
-    if len(available) < k:
-        raise ValueError(f"need at least {k} nodes to decode, got {len(available)}")
-    data = {}
-    for node, vec in available.items():
-        if not 1 <= node <= k + 2:
-            raise ValueError(f"unknown node id {node}")
-        data[node] = np.asarray(vec, dtype=np.int64) % q
-    shape = data[node].shape  # the last node's; every node must match it
-    if shape[-1:] != (n,) or any(v.shape != shape for v in data.values()):
-        raise ValueError(f"every node's rows must have one shape (..., {n})")
-
+    probes = np.repeat(np.eye(len(alive), dtype=np.int64)[:, :, None], n, axis=-1)
+    data = {node: probes[:, b] for b, node in enumerate(alive)}
     missing = [i for i in range(1, k + 1) if i not in data]
     if len(missing) == 1:
         (i,) = missing
@@ -267,17 +266,13 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
             for l in others:
                 acc -= data[l]
             data[i] = acc % q
-        elif k + 2 in data:
+        else:
             acc = data[k + 2].copy()
             for l in others:
                 acc -= coding_matrix(params, l) * data[l]
             data[i] = inverse_coding_matrix(params, i) * acc % q
-        else:
-            raise ValueError("not enough nodes to decode")  # unreachable given len >= k
     elif len(missing) == 2:
         i, j = missing
-        if k + 1 not in data or k + 2 not in data:
-            raise ValueError("not enough nodes to decode")  # unreachable given len >= k
         rhs1 = data[k + 1].copy()
         rhs2 = data[k + 2].copy()
         for l in range(1, k + 1):
@@ -294,16 +289,58 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
         fj = (rhs2 - ai * rhs1) * det_inv % q
         data[j] = fj
         data[i] = (rhs1 - fj) % q
-
     word = _with_parities(params, np.stack([data[i] for i in range(1, k + 1)], axis=-2))
-    parities = [node for node in (k + 1, k + 2) if node in data]
-    if parities:
-        # the first flag set lies in the lowest row, there in parity k+1 first
-        bad = np.concatenate([word[..., node - 1, :] != data[node] for node in parities], axis=-1)
-        if bad.any():
-            chunk, col = divmod(int(bad.argmax()), len(parities) * n)
-            msg = f"surviving node {parities[col // n]} is inconsistent with decoded data"
-            raise ValueError(msg if word.ndim == 2 else f"chunk {chunk} failed to decode: {msg}")
+
+    erased = tuple(node for node in range(1, k + 3) if node not in alive)
+    parities = tuple(node for node in (k + 1, k + 2) if node in alive)
+    outputs = [node - 1 for node in erased + parities]
+    weights = np.zeros((len(outputs), k + 2, n), dtype=np.int64)
+    weights[:, [node - 1 for node in alive]] = word[:, outputs].swapaxes(0, 1)
+    for r, node in enumerate(parities, start=len(erased)):
+        weights[r, node - 1] -= 1
+    weights %= q
+    weights.flags.writeable = False
+    return erased, parities, weights
+
+
+def decode(params: CodeParams, available: dict) -> np.ndarray:
+    """Full codewords from any >= k surviving nodes.
+
+    `available` maps node ids (1-based; parities are k+1 and k+2) to rows of
+    one shared shape (..., N), one per codeword; returns (..., k+2, N).  Up
+    to two missing nodes are reconstructed.  Each erasure pattern compiles
+    once (_decode_map) into weights over the reduced rows, so a call is one
+    weighted sum that yields the missing rows and every surviving parity's
+    syndrome.  A nonzero syndrome raises; for stacked rows the message names
+    the first bad row (over the flattened leading axes) as the failing chunk.
+    """
+    k, q, n = params.k, params.q, params.n
+    if len(available) < k:
+        raise ValueError(f"need at least {k} nodes to decode, got {len(available)}")
+    rows = {}
+    for node, vec in available.items():
+        if not 1 <= node <= k + 2:
+            raise ValueError(f"unknown node id {node}")
+        rows[node] = np.asarray(vec)
+    shape = rows[node].shape  # the last node's; every node must match it
+    if shape[-1:] != (n,) or any(v.shape != shape for v in rows.values()):
+        raise ValueError(f"every node's rows must have one shape (..., {n})")
+
+    erased, parities, weights = _decode_map(params, tuple(sorted(rows)))
+    word = np.zeros(shape[:-1] + (k + 2, n), dtype=np.int64)
+    for node, v in rows.items():
+        word[..., node - 1, :] = v
+    word %= q
+    out = np.einsum("...st,rst->...rt", word, weights)
+    out %= q
+    for r, node in enumerate(erased):
+        word[..., node - 1, :] = out[..., r, :]
+    # the first flag set lies in the lowest row, there in parity k+1 first
+    bad = out[..., len(erased) :, :] != 0
+    if bad.any():
+        chunk, col = divmod(int(bad.argmax()), len(parities) * n)
+        msg = f"surviving node {parities[col // n]} is inconsistent with decoded data"
+        raise ValueError(msg if word.ndim == 2 else f"chunk {chunk} failed to decode: {msg}")
     return word
 
 

@@ -98,18 +98,27 @@ class RepairMatrix:
         out = std if self.kind == STANDARD else sylvester(half.bit_length() - 1) @ std
         return out if q is None else out % q
 
-    def apply(self, rows, q: int) -> np.ndarray:
-        """Product with rows of shape (..., N) exploiting the two-per-row
-        shape; returns (..., N/2).
+    def apply(self, rows, q: int, premultiply=None) -> np.ndarray:
+        """Product with rows of shape (..., N), each first scaled entrywise
+        by `premultiply` when given, exploiting the two-per-row shape;
+        returns (..., N/2).
 
         One signed sum per row gives the standard-basis product S x; the
-        Sylvester basis then applies one fast transform, H (S x).
+        Sylvester basis then applies one fast transform, H (S x).  The
+        premultiply folds into the sum as per-column scales, so rows in a
+        narrow stored dtype are widened only after the column gather.
         """
-        x = np.asarray(rows, dtype=np.int64)
+        x = np.asarray(rows)
         if x.shape[-1:] != (self.n,):
             raise ValueError(f"rows must have shape (..., {self.n})")
-        sign = None if self.second_sign > 0 else -1
-        return _pair_sums(x, (Ellipsis,), self.first, self.second, None, sign, self.kind, q)
+        scale_first = scale_second = None
+        if premultiply is not None:
+            scale_first, scale_second = premultiply[self.first], premultiply[self.second]
+        if self.second_sign < 0:
+            scale_second = -1 if scale_second is None else -scale_second
+        return _pair_sums(
+            x, (Ellipsis,), self.first, self.second, scale_first, scale_second, self.kind, q
+        )
 
 
 def _pair_sums(x, pick, first, second, scale_first, scale_second, kind, q):
@@ -118,10 +127,13 @@ def _pair_sums(x, pick, first, second, scale_first, scale_second, kind, q):
     then in the Sylvester basis one fast transform of every payload row.
 
     `pick` indexes the leading axes: (Ellipsis,) for plain rows (..., N),
-    (Ellipsis, rows) to gather helper rows out of (..., nodes, N).
+    (Ellipsis, rows) to gather helper rows out of (..., nodes, N).  x may be
+    in its stored dtype: only the gathered halves are widened to int64.
     """
     a = x[pick + (first,)]
     b = x[pick + (second,)]
+    if a.dtype != np.int64:
+        a, b = a.astype(np.int64), b.astype(np.int64)
     if scale_first is not None:
         a *= scale_first
     if scale_second is not None:
@@ -178,9 +190,7 @@ class HelperTask:
 
     def payload(self, rows, q: int) -> np.ndarray:
         """Payload of each row of shape (..., N); returns (..., N/2)."""
-        if self.premultiply is not None:
-            rows = self.premultiply * np.asarray(rows, dtype=np.int64) % q
-        return self.matrix.apply(rows, q)
+        return self.matrix.apply(rows, q, self.premultiply)
 
 
 @dataclass(frozen=True)

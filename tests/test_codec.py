@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +218,21 @@ class TestEncode:
             assert np.array_equal(stacked[c], encode(demo_k2, blocks[c]))
 
 
+def erasure_patterns(k):
+    """Every erasure pattern of at most two nodes, in a fixed order."""
+    nodes = range(1, k + 3)
+    return [()] + [(x,) for x in nodes] + list(itertools.combinations(nodes, 2))
+
+
+# parity that a decode names when one survivor (dict key, or every survivor
+# for a bare int) is corrupted, per erasure pattern of at most one node
+NAMED_PARITY = {
+    2: {(): {1: 3, 2: 3, 3: 3, 4: 4}, (1,): 4, (2,): 4, (3,): 4, (4,): 3},
+    3: {(): {1: 4, 2: 4, 3: 4, 4: 4, 5: 5}, (1,): 5, (2,): 5, (3,): 5, (4,): 5, (5,): 4},
+}
+INCONSISTENT = "surviving node {} is inconsistent with decoded data"
+
+
 class TestDecode:
     @pytest.mark.parametrize("k", [2, 3])
     def test_all_erasure_patterns(self, k, rng):
@@ -223,8 +240,7 @@ class TestDecode:
         parts = rng.integers(0, p.q, size=(p.k, p.n), dtype=np.int64)
         word = encode(p, parts)
         nodes = range(1, p.k + 3)
-        patterns = [()] + [(x,) for x in nodes] + list(itertools.combinations(nodes, 2))
-        for gone in patterns:
+        for gone in erasure_patterns(k):
             available = {m: word[m - 1] for m in nodes if m not in gone}
             assert np.array_equal(decode(p, available), word), gone
 
@@ -233,22 +249,97 @@ class TestDecode:
         p = demo_params(k)
         words = encode_blocks(p, rng.integers(0, p.q, size=(7, p.k, p.n)))
         nodes = range(1, p.k + 3)
-        patterns = [()] + [(x,) for x in nodes] + list(itertools.combinations(nodes, 2))
-        for gone in patterns:
+        for gone in erasure_patterns(k):
             alive = [m for m in nodes if m not in gone]
             got = decode(p, {m: words[:, m - 1] for m in alive})
             singles = [decode(p, {m: w[m - 1] for m in alive}) for w in words]
             assert np.array_equal(got, np.stack(singles)), gone
             assert np.array_equal(got, words), gone
 
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 3), (0,)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_patterns_at_every_leading_shape(self, k, lead, rng):
+        p = demo_params(k)
+        words = encode_blocks(p, rng.integers(0, p.q, size=(math.prod(lead), p.k, p.n)))
+        words = words.reshape(lead + (p.k + 2, p.n))
+        for gone in erasure_patterns(k):
+            alive = [m for m in range(1, p.k + 3) if m not in gone]
+            for stored in (words, words + p.q, words.astype("<u2")):
+                got = decode(p, {m: stored[..., m - 1, :] for m in alive})
+                assert got.dtype == np.int64 and got.base is None, gone
+                assert np.array_equal(got, words), (gone, stored.dtype)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_corrupt_survivor_names_parity_and_chunk(self, k, rng):
+        p = demo_params(k)
+        clean = encode_blocks(p, rng.integers(0, p.q, size=(6, p.k, p.n)))
+        for gone, named in NAMED_PARITY[k].items():
+            alive = [m for m in range(1, p.k + 3) if m not in gone]
+            for node in alive:
+                parity = named if isinstance(named, int) else named[node]
+                msg = INCONSISTENT.format(parity)
+                words = clean.copy()
+                words[4, node - 1, 1] = (words[4, node - 1, 1] + 1) % p.q
+                words[2, node - 1, 5] = (words[2, node - 1, 5] + 3) % p.q
+                cases = [
+                    ({m: words[2, m - 1] for m in alive}, msg),
+                    ({m: words[:, m - 1] for m in alive}, f"chunk 2 failed to decode: {msg}"),
+                    (
+                        {m: words.reshape(2, 3, p.k + 2, p.n)[..., m - 1, :] for m in alive},
+                        f"chunk 2 failed to decode: {msg}",
+                    ),
+                    ({m: words[3:, m - 1] for m in alive}, f"chunk 1 failed to decode: {msg}"),
+                ]
+                for available, expected in cases:
+                    with pytest.raises(ValueError) as err:
+                        decode(p, available)
+                    assert str(err.value) == expected, (gone, node)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_corrupt_survivor_without_redundancy_decodes(self, k, rng):
+        # with two nodes erased no parity is left over to check against, so
+        # the decode succeeds: a codeword that keeps every survivor as given
+        p = demo_params(k)
+        words = encode_blocks(p, rng.integers(0, p.q, size=(4, p.k, p.n)))
+        for gone in [g for g in erasure_patterns(k) if len(g) == 2]:
+            alive = [m for m in range(1, p.k + 3) if m not in gone]
+            bent = words.copy()
+            bent[1, alive[0] - 1, 2] = (bent[1, alive[0] - 1, 2] + 1) % p.q
+            got = decode(p, {m: bent[:, m - 1] for m in alive})
+            assert np.array_equal(got, encode_blocks(p, got[:, : p.k])), gone
+            assert np.array_equal(got[:, [m - 1 for m in alive]], bent[:, [m - 1 for m in alive]])
+
+    def test_each_pattern_compiles_once(self, demo_k3, rng):
+        p = demo_k3
+        word = encode(p, rng.integers(0, p.q, size=(p.k, p.n)))
+        available = {m: word[m - 1] for m in (1, 3, 4)}
+        codec._decode_map.cache_clear()
+        decode(p, available)
+        decode(p, {m: np.stack([rows, rows]) for m, rows in available.items()})
+        assert codec._decode_map.cache_info().misses == 1
+        assert codec._decode_map.cache_info().hits == 1
+
+    def test_codes_do_not_share_compiled_weights(self, demo_k3, rng):
+        wide = search_params(3, 257)
+        alive = (1, 3, 4, 5)
+        assert not np.array_equal(
+            codec._decode_map(demo_k3, alive)[2], codec._decode_map(wide, alive)[2]
+        )
+        for p in (demo_k3, wide):
+            weights = codec._decode_map(p, alive)[2]
+            assert weights.min() >= 0 and weights.max() < p.q
+            word = encode(p, rng.integers(0, p.q, size=(p.k, p.n)))
+            assert np.array_equal(decode(p, {m: word[m - 1] for m in alive}), word)
+
     def test_mismatched_row_shapes_rejected(self, demo_k2, rng):
         words = encode_blocks(demo_k2, rng.integers(0, 7, size=(3, 2, 8)))
         available = {m: words[:, m - 1] for m in (1, 2, 3)}
-        with pytest.raises(ValueError, match="shape"):
+        msg = re.escape("every node's rows must have one shape (..., 8)")
+        with pytest.raises(ValueError, match=f"^{msg}$"):
             decode(demo_k2, {**available, 2: words[0, 1]})
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
             decode(demo_k2, {**available, 3: words[:2, 2]})
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
             decode(demo_k2, {m: rows[:, :4] for m, rows in available.items()})
 
     def test_batch_names_first_bad_row(self, demo_k2, rng):
@@ -265,7 +356,7 @@ class TestDecode:
     def test_needs_k_nodes(self, demo_k2, rng):
         parts = rng.integers(0, 7, size=(2, 8), dtype=np.int64)
         word = encode(demo_k2, parts)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least 2 nodes to decode, got 1$"):
             decode(demo_k2, {1: word[0]})
 
     def test_detects_corrupt_survivor(self, demo_k2, rng):
@@ -281,7 +372,7 @@ class TestDecode:
         word = encode(demo_k2, parts)
         available = {m: word[m - 1] for m in (1, 2)}
         available[9] = word[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown node id 9$"):
             decode(demo_k2, available)
 
 

@@ -63,3 +63,16 @@ def test_decode_peak_one_dead_node(data, tmp_path):
     out, peak = peak_of(lambda: cmd_decode(root))
     assert out == data
     assert peak <= 64 * SIZE
+
+
+@pytest.mark.parametrize("dead", [(1, 3), (2, 5)])
+def test_decode_peak_two_dead_nodes(data, tmp_path, dead):
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    root = tmp_path / "cluster"
+    cmd_encode(src, root, k=3, q=257)
+    for node in dead:
+        cmd_kill(root, node)
+    out, peak = peak_of(lambda: cmd_decode(root))
+    assert out == data
+    assert peak <= 64 * SIZE

@@ -135,6 +135,10 @@ class TestSelectorStructure:
             assert np.array_equal(m.apply(vec, q), dense @ vec % q)
             rows = rng.integers(0, q, size=(3, m.n), dtype=np.int64)
             assert np.array_equal(m.apply(rows, q), rows @ dense.T % q)
+            # stored segment dtype, and a premultiply folded into the sum
+            assert np.array_equal(m.apply(rows.astype("<u2"), q), rows @ dense.T % q)
+            pre = rng.integers(1, q, size=m.n, dtype=np.int64)
+            assert np.array_equal(m.apply(rows, q, pre), rows * pre @ dense.T % q)
         assert {m.second_sign for m in all_matrices(k, basis_kind)} == {1, -1}
 
     def test_download_cost_per_helper(self, searched_params):
@@ -296,6 +300,8 @@ class TestPlans:
                 rows = words[:, h - 1]
                 assert np.array_equal(payloads[:, i], plan.helper_payload(h, rows)), (node, h)
                 assert np.array_equal(payloads[:, i], task.payload(rows, q)), (node, h)
+                stored = rows.astype("<u2")
+                assert np.array_equal(payloads[:, i], task.payload(stored, q)), (node, h)
                 scaled = rows if task.premultiply is None else rows * task.premultiply
                 assert np.array_equal(payloads[:, i], scaled @ task.matrix.dense(q).T % q)
         with pytest.raises(ValueError, match="shape"):
