@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import cluster
 from .codec import DEMO_COEFFICIENTS, demo_params, search_params
@@ -110,7 +111,10 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hmsr parser, built once per process: every main() call parses
+    into a fresh Namespace, so no flag carries over to the next call."""
     parser = _Parser(
         prog="hmsr",
         description="Bandwidth-optimal (k+2, k) erasure coding over a simulated cluster.",

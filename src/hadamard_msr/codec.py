@@ -133,6 +133,7 @@ def _candidate_pairs(q: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, q) for b in roots[(a * a + 1) % q]]
 
 
+@lru_cache(maxsize=None)
 def find_coefficients(k: int, q: int) -> tuple[tuple, tuple] | None:
     """First valid (a, b) assignment in deterministic search order.
 

@@ -117,31 +117,43 @@ class RepairMatrix:
         if self.second_sign < 0:
             scale_second = -1 if scale_second is None else -scale_second
         return _pair_sums(
-            x, (Ellipsis,), self.first, self.second, scale_first, scale_second, self.kind, q
+            x, None, self.first, self.second, scale_first, scale_second, self.kind, q
         )
 
 
-def _pair_sums(x, pick, first, second, scale_first, scale_second, kind, q):
-    """The one download kernel: x[pick + (first,)] * scale_first +
-    x[pick + (second,)] * scale_second mod q, a scale of None being all ones,
+def _pair_sums(x, rows, first, second, scale_first, scale_second, kind, q):
+    """The one download kernel: x[..., first] * scale_first +
+    x[..., second] * scale_second mod q, a scale of None being all ones,
     then in the Sylvester basis one fast transform of every payload row.
 
-    `pick` indexes the leading axes: (Ellipsis,) for plain rows (..., N),
-    (Ellipsis, rows) to gather helper rows out of (..., nodes, N).  x may be
-    in its stored dtype: only the gathered halves are widened to int64.
+    `rows` is None for plain rows (..., N), or a column of row indices to
+    gather helper rows out of (..., nodes, N).  x may be in its stored
+    dtype: only the gathered halves are widened to int64.
     """
-    a = x[pick + (first,)]
-    b = x[pick + (second,)]
-    if a.dtype != np.int64:
-        a, b = a.astype(np.int64), b.astype(np.int64)
+    if rows is None:
+        # take gathers 2-D rows in C order, where x[..., first] comes out
+        # column-major; C order lets the sum reduce in place and spares the
+        # recover gather and the transform's reshape a copy.  Widening the
+        # first half before gathering the second keeps one narrow half alive.
+        a = np.take(x, first, axis=-1)
+        if a.dtype != np.int64:
+            a = a.astype(np.int64)
+        b = np.take(x, second, axis=-1)
+    else:
+        a, b = x[..., rows, first], x[..., rows, second]
+        if a.dtype != np.int64:
+            a = a.astype(np.int64)
+    if b.dtype != np.int64:
+        b = b.astype(np.int64)
     if scale_first is not None:
         a *= scale_first
     if scale_second is not None:
         b *= scale_second
     a += b
-    # batched gathers come out column-major; C order spares the recover
-    # gather and the transform's reshape a copy
-    a = np.remainder(a, q, order="C")
+    if a.flags.c_contiguous:
+        np.remainder(a, q, out=a)
+    else:
+        a = np.remainder(a, q, order="C")
     return a if kind == STANDARD else fast_hadamard_apply(a) % q
 
 
@@ -256,9 +268,8 @@ class CompiledRepair:
     def download(self, x, rows=None, helpers=slice(None)) -> np.ndarray:
         """Payloads (..., h, N/2) of the helpers `helpers` of the combine
         order, whose rows are x[..., rows, :] (x itself when rows is None)."""
-        pick = (Ellipsis,) if rows is None else (Ellipsis, rows)
         scales = [None if s is None else s[helpers] for s in (self.scale_first, self.scale_second)]
-        return _pair_sums(x, pick, self.first, self.second, *scales, self.kind, self.q)
+        return _pair_sums(x, rows, self.first, self.second, *scales, self.kind, self.q)
 
     def recover(self, payloads: np.ndarray) -> np.ndarray:
         """Cancel and recover stacked payloads (..., k+1, N/2)."""
@@ -360,9 +371,9 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
 class RepairPlan:
     """Everything needed to rebuild one failed node from helper payloads.
 
-    `compiled`, its execution tables, is derived from the fields on first
-    use and kept on the instance; a plan made with dataclasses.replace
-    compiles its own.
+    `compiled`, its execution tables, and the counts behind cost() are
+    derived from the fields on first use and kept on the instance; a plan
+    made with dataclasses.replace compiles and counts its own.
     """
 
     params: CodeParams
@@ -419,7 +430,13 @@ class RepairPlan:
         return self.compiled.accumulate(rows)
 
     def cost(self) -> dict:
-        """Per-phase (adds, muls) of repairing one chunk, from the plan alone.
+        """Per-phase (adds, muls) of repairing one chunk, from the plan alone;
+        a fresh dict on every call over counts made once per plan."""
+        return dict(self._counts)
+
+    @cached_property
+    def _counts(self) -> dict:
+        """The counts behind cost().
 
         Adding or subtracting two symbols is one add.  A product with a plan
         constant is one mul unless the constant is 0, 1 or q-1 (scaling by

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hadamard_msr.cli import main
+import hadamard_msr
+from hadamard_msr.cli import build_parser, main
 from hadamard_msr.metering import CSV_HEADER
 
 
@@ -467,3 +470,110 @@ class TestUsage:
     def test_non_integer_node(self, tmp_path, blob, capsys):
         root = encode_cluster(tmp_path, blob)
         assert main(["kill", str(root), "two"]) == 1
+
+
+class TestParserReuse:
+    """main() reuses one parser per process; each call parses afresh."""
+
+    def test_parser_built_once(self, tmp_path, blob, capsys):
+        build_parser.cache_clear()
+        root = encode_cluster(tmp_path, blob)
+        calls = 1
+        for node in (1, 3, 4):
+            assert main(["kill", str(root), str(node)]) == 0
+            assert main(["repair", str(root), str(node)]) == 0
+            calls += 2
+        assert main(["decode", str(root), "--out", str(tmp_path / "out.bin")]) == 0
+        calls += 1
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, calls - 1)
+        assert (tmp_path / "out.bin").read_bytes() == blob[1]
+
+    def test_repair_flags_do_not_leak(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        assert main(["kill", str(root), "3"]) == 0
+        assert main(["repair", str(root), "3", "--report", "--strategy", "original"]) == 0
+        out = capsys.readouterr().out
+        assert "original strategy" in out and "download: adds=" in out
+        assert main(["kill", str(root), "3"]) == 0
+        capsys.readouterr()
+        assert main(["repair", str(root), "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "repaired node 3 with the new strategy: 125 chunks, "
+            "1500 symbols downloaded (12 per chunk)"
+        ]
+
+    def test_force_does_not_stick(self, tmp_path, blob, capsys):
+        forced = encode_cluster(tmp_path / "a", blob)
+        plain = encode_cluster(tmp_path / "b", blob)
+        for root in (forced, plain):
+            assert main(["kill", str(root), "1"]) == 0
+            assert main(["kill", str(root), "2"]) == 0
+        assert main(["kill", str(forced), "4", "--force"]) == 0
+        capsys.readouterr()
+        assert main(["kill", str(plain), "4"]) == 3
+        assert "unrecoverable" in capsys.readouterr().err
+
+    def test_bench_k_does_not_stick(self, capsys):
+        assert main(["bench", "--k", "2"]) == 0
+        assert "k=3" not in capsys.readouterr().out
+        assert main(["bench"]) == 0
+        out = capsys.readouterr().out
+        assert "k=2 q=7" in out
+        assert "k=3 q=11" in out
+
+    @pytest.mark.parametrize(
+        "bad", [["repair"], ["bench", "--k", "two"], ["scrub"], ["bench", "--strategy", "x"]]
+    )
+    def test_usage_error_between_good_calls(self, bad, capsys):
+        assert main(["bench", "--k", "2", "--csv"]) == 0
+        first = capsys.readouterr().out
+        assert main(bad) == 1
+        assert capsys.readouterr().out == ""
+        assert main(["bench", "--k", "2", "--csv"]) == 0
+        assert capsys.readouterr().out == first
+
+
+def test_fresh_process_matches_in_process(tmp_path, blob, capsys):
+    """`python -m hadamard_msr.cli` in a new process gives the same exit
+    codes, output and decoded bytes as main() called in this one."""
+    path, data = blob
+    src = Path(hadamard_msr.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
+
+    def steps(root):
+        return [
+            ["encode", str(path), str(root), "--k", "3", "--q", "257"],
+            ["kill", str(root), "2"],
+            ["repair", str(root), "2", "--report"],
+            ["decode", str(root), "--out", str(root / "out.bin")],
+            ["repair", str(root)],
+        ]
+
+    def in_process(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def fresh_process(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "hadamard_msr.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def script(run, root):
+        results = []
+        for argv in steps(root):
+            rc, out, err = run(argv)
+            results.append((rc, out.replace(str(root), "<root>"), bool(err)))
+        return results
+
+    here, there = tmp_path / "here", tmp_path / "there"
+    expected = script(in_process, here)
+    assert [rc for rc, _, _ in expected] == [0, 0, 0, 0, 1]
+    assert script(fresh_process, there) == expected
+    assert (here / "out.bin").read_bytes() == data
+    assert (there / "out.bin").read_bytes() == data

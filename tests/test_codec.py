@@ -158,6 +158,39 @@ class TestSearch:
         with pytest.raises(ValueError):
             demo_params(4)
 
+    # search_params(k) and search_params(k, 257), frozen so that the cached
+    # search keeps every searched code: ((q, a, b), (a, b) at q = 257)
+    SEARCHED = {
+        2: ((7, (1, 1), (3, 4)), ((1, 1), (60, 197))),
+        3: ((11, (2, 2, 5), (4, 7, 2)), ((1, 1, 4), (60, 197, 70))),
+        4: ((11, (2, 2, 5, 5), (4, 7, 2, 9)), ((1, 1, 4, 4), (60, 197, 70, 187))),
+        5: (
+            (17, (1, 1, 5, 5, 7), (6, 11, 3, 14, 4)),
+            ((1, 1, 4, 4, 5), (60, 197, 70, 187, 119)),
+        ),
+        6: (
+            (17, (1, 1, 5, 5, 7, 7), (6, 11, 3, 14, 4, 13)),
+            ((1, 1, 4, 4, 5, 5), (60, 197, 70, 187, 119, 138)),
+        ),
+        7: (
+            (19, (2, 2, 4, 4, 5, 5, 9), (9, 10, 6, 13, 8, 11, 5)),
+            ((1, 1, 4, 4, 5, 5, 7), (60, 197, 70, 187, 119, 138, 43)),
+        ),
+        8: (
+            (19, (2, 2, 4, 4, 5, 5, 9, 9), (9, 10, 6, 13, 8, 11, 5, 14)),
+            ((1, 1, 4, 4, 5, 5, 7, 7), (60, 197, 70, 187, 119, 138, 43, 214)),
+        ),
+    }
+
+    @pytest.mark.parametrize("k", sorted(SEARCHED))
+    def test_cached_search_unchanged(self, k):
+        (q, a, b), at_257 = self.SEARCHED[k]
+        for _ in range(2):  # the second round is answered from the cache
+            p = search_params(k)
+            assert (p.q, p.a, p.b) == (q, a, b)
+            p = search_params(k, 257)
+            assert (p.a, p.b) == at_257
+        assert find_coefficients(k, 257) is find_coefficients(k, 257)
 
 class TestCodingMatrices:
     def test_entries_never_zero(self, demo_k2, demo_k3, searched_params):

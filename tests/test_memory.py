@@ -1,8 +1,9 @@
-"""Peak-allocation gates for packing, encode and decode.
+"""Peak-allocation gates for packing, encode, decode and helper downloads.
 
 tracemalloc sees numpy's array buffers, so a peak here is the extra memory a
-call allocates, measured on 1 MiB of input at k=3.  The bounds are in bytes
-per input byte; widening every input bit to an int64 costs 64 on its own.
+call allocates, measured on 1 MiB of input at k=3 (4 MiB for downloads).
+The bounds are in bytes per input byte, or per payload byte for downloads;
+widening every input bit to an int64 costs 64 on its own.
 """
 
 import tracemalloc
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 
 from hadamard_msr import codec
-from hadamard_msr.cluster import cmd_decode, cmd_encode, cmd_kill
+from hadamard_msr.cluster import (
+    ClusterState,
+    cmd_decode,
+    cmd_encode,
+    cmd_kill,
+    read_repair_payload,
+)
+from hadamard_msr.repair import build_repair_plan
 
 SIZE = 1 << 20
 
@@ -76,3 +84,27 @@ def test_decode_peak_two_dead_nodes(data, tmp_path, dead):
     out, peak = peak_of(lambda: cmd_decode(root))
     assert out == data
     assert peak <= 64 * SIZE
+
+
+@pytest.fixture(scope="module")
+def cluster_4mib(tmp_path_factory):
+    """A k=3, q=257 cluster of 4 MiB: 87,382 chunks."""
+    tmp = tmp_path_factory.mktemp("download")
+    src = tmp / "input.bin"
+    src.write_bytes(np.random.default_rng(13).integers(0, 256, 4 * SIZE, dtype=np.uint8).tobytes())
+    cmd_encode(src, tmp / "cluster", k=3, q=257)
+    return ClusterState.load(tmp / "cluster")
+
+
+# Per int64 payload byte: the helper's <u2 rows (0.5), one <u2 half in
+# flight (0.25) and the two int64 halves summed in place (2); the Sylvester
+# transform adds its own products on top.
+@pytest.mark.parametrize("strategy,bound", [("new", 2.8), ("original", 4.55)])
+def test_helper_download_peak(cluster_4mib, strategy, bound):
+    assert cluster_4mib.manifest.chunk_count == 87382
+    for node in (2, 5):
+        plan = build_repair_plan(cluster_4mib.params, node, strategy)
+        for helper, task in plan.helper_matrices.items():
+            payload, peak = peak_of(lambda: read_repair_payload(cluster_4mib, helper, task))
+            assert payload.shape == (87382, plan.params.n // 2)
+            assert peak <= bound * payload.nbytes, (node, helper)

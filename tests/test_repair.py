@@ -497,6 +497,30 @@ class TestPlanCost:
             assert cost["recover"] == dense(plan.recover_map)
 
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_counts_once_per_plan(self, strategy, demo_k3, monkeypatch):
+        # every count of a constant or a dense row goes through count_nonzero
+        calls = []
+        count_nonzero = np.count_nonzero
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return count_nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", spy)
+        plan = replace(build_repair_plan(demo_k3, 5, strategy))  # not yet counted
+        first = plan.cost()
+        counted = len(calls)
+        assert counted > 0
+        second = plan.cost()
+        assert len(calls) == counted
+        assert second == first and second is not first
+        second["cancel"] = (0, 0)
+        assert plan.cost() == first
+        fewer = replace(plan, cancel_nodes=plan.cancel_nodes[:1])
+        assert fewer.cost()["cancel"] != first["cancel"]
+        assert len(calls) > counted
+
 class TestRankConditions:
     def test_demo_profiles_pass(self, demo_k2, demo_k3):
         for params, count in ((demo_k2, 8), (demo_k3, 15)):
