@@ -26,7 +26,7 @@ import numpy as np
 
 from . import codec
 from .codec import CodeParams, DEMO_COEFFICIENTS, bits_per_symbol, demo_params, search_params
-from .repair import STRATEGIES, HelperTask, build_repair_plan, verify_params
+from .repair import STRATEGIES, RepairPlan, build_repair_plan, verify_params
 
 MAGIC = b"HMSR"
 FORMAT_VERSION = 2
@@ -271,13 +271,14 @@ def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
     return replace(state, dead=tuple(sorted((*dead, node))))
 
 
-def read_repair_payload(state: ClusterState, helper: int, task: HelperTask) -> np.ndarray:
-    """Default payload reader: the helper reads its segment once, transforms
-    all its chunks locally and ships (chunks, N/2) symbols.  Tests swap this
-    out to audit download volume."""
+def read_repair_payload(state: ClusterState, plan: RepairPlan, helper: int) -> np.ndarray:
+    """Default payload reader, the hook payload_reader(state, plan, helper):
+    the helper reads its segment once, transforms all its chunks locally
+    through plan.helper_payload and ships (chunks, N/2) symbols.  Tests swap
+    this out to audit download volume."""
     p = state.params
     rows = read_segment(state.segment_path(helper), p, helper, state.manifest.chunk_count)
-    return task.payload(rows, p.q)
+    return plan.helper_payload(helper, rows)
 
 
 @dataclass(frozen=True)
@@ -325,10 +326,7 @@ def cmd_repair(
         raise UnrecoverableError(f"only {alive} nodes alive; data is unrecoverable")
     plan = build_repair_plan(params, node, strategy)
     chunks = state.manifest.chunk_count
-    payloads = {
-        helper: np.asarray(payload_reader(state, helper, task))
-        for helper, task in plan.helper_matrices.items()
-    }
+    payloads = {h: np.asarray(payload_reader(state, plan, h)) for h in plan.helper_matrices}
     shipped = {helper: int(rows.size) for helper, rows in payloads.items()}
     segment = state.segment_path(node)
     write_segment(segment, params, node, plan.assemble(payloads))

@@ -17,10 +17,13 @@ dense.  RepairPlan.cost() derives what that difference costs per phase from
 the plan's constants alone, and it is the only source of counts.
 
 Execution is uncounted and runs tables compiled once per plan
-(RepairPlan.compiled) on rows of shape (..., N), one per chunk: one stacked
-download for all k+1 helpers, then, in the standard basis, one pair-sparse
-product that cancels and recovers at once; the Sylvester basis keeps its
-dense cancel and recover as two products.
+(RepairPlan.compiled) on rows of shape (..., N), one per chunk.  One
+download kernel, CompiledRepair.download, serves both roles: the helper's,
+through RepairPlan.helper_payload (what the cluster's helpers run on their
+stored segments), and the repairer's, through execute_repair's one stacked
+download for all k+1 helpers.  Then, in the standard basis, one pair-sparse
+product cancels and recovers at once; the Sylvester basis keeps its dense
+cancel and recover as two products.
 """
 
 from __future__ import annotations
@@ -98,64 +101,6 @@ class RepairMatrix:
         out = std if self.kind == STANDARD else sylvester(half.bit_length() - 1) @ std
         return out if q is None else out % q
 
-    def apply(self, rows, q: int, premultiply=None) -> np.ndarray:
-        """Product with rows of shape (..., N), each first scaled entrywise
-        by `premultiply` when given, exploiting the two-per-row shape;
-        returns (..., N/2).
-
-        One signed sum per row gives the standard-basis product S x; the
-        Sylvester basis then applies one fast transform, H (S x).  The
-        premultiply folds into the sum as per-column scales, so rows in a
-        narrow stored dtype are widened only after the column gather.
-        """
-        x = np.asarray(rows)
-        if x.shape[-1:] != (self.n,):
-            raise ValueError(f"rows must have shape (..., {self.n})")
-        scale_first = scale_second = None
-        if premultiply is not None:
-            scale_first, scale_second = premultiply[self.first], premultiply[self.second]
-        if self.second_sign < 0:
-            scale_second = -1 if scale_second is None else -scale_second
-        return _pair_sums(
-            x, None, self.first, self.second, scale_first, scale_second, self.kind, q
-        )
-
-
-def _pair_sums(x, rows, first, second, scale_first, scale_second, kind, q):
-    """The one download kernel: x[..., first] * scale_first +
-    x[..., second] * scale_second mod q, a scale of None being all ones,
-    then in the Sylvester basis one fast transform of every payload row.
-
-    `rows` is None for plain rows (..., N), or a column of row indices to
-    gather helper rows out of (..., nodes, N).  x may be in its stored
-    dtype: only the gathered halves are widened to int64.
-    """
-    if rows is None:
-        # take gathers 2-D rows in C order, where x[..., first] comes out
-        # column-major; C order lets the sum reduce in place and spares the
-        # recover gather and the transform's reshape a copy.  Widening the
-        # first half before gathering the second keeps one narrow half alive.
-        a = np.take(x, first, axis=-1)
-        if a.dtype != np.int64:
-            a = a.astype(np.int64)
-        b = np.take(x, second, axis=-1)
-    else:
-        a, b = x[..., rows, first], x[..., rows, second]
-        if a.dtype != np.int64:
-            a = a.astype(np.int64)
-    if b.dtype != np.int64:
-        b = b.astype(np.int64)
-    if scale_first is not None:
-        a *= scale_first
-    if scale_second is not None:
-        b *= scale_second
-    a += b
-    if a.flags.c_contiguous:
-        np.remainder(a, q, out=a)
-    else:
-        a = np.remainder(a, q, order="C")
-    return a if kind == STANDARD else fast_hadamard_apply(a) % q
-
 
 def systematic_repair_matrix(k: int, i: int, kind: str) -> RepairMatrix:
     """Repair matrix of systematic node i: pairs columns j and j + 2^i."""
@@ -191,18 +136,6 @@ def parity2_repair_matrices(k: int, kind: str) -> tuple[RepairMatrix, RepairMatr
         RepairMatrix(kind, index, np.ones_like(j)),
         RepairMatrix(kind, index, tilde_sign),
     )
-
-
-@dataclass(frozen=True)
-class HelperTask:
-    """What one surviving node computes before shipping N/2 symbols."""
-
-    matrix: RepairMatrix
-    premultiply: np.ndarray | None = None
-
-    def payload(self, rows, q: int) -> np.ndarray:
-        """Payload of each row of shape (..., N); returns (..., N/2)."""
-        return self.matrix.apply(rows, q, self.premultiply)
 
 
 @dataclass(frozen=True)
@@ -266,10 +199,41 @@ class CompiledRepair:
     recover_t: np.ndarray | None
 
     def download(self, x, rows=None, helpers=slice(None)) -> np.ndarray:
-        """Payloads (..., h, N/2) of the helpers `helpers` of the combine
-        order, whose rows are x[..., rows, :] (x itself when rows is None)."""
-        scales = [None if s is None else s[helpers] for s in (self.scale_first, self.scale_second)]
-        return _pair_sums(x, rows, self.first, self.second, *scales, self.kind, self.q)
+        """The one download kernel: payloads (..., N/2) of the helpers
+        `helpers` of the combine order, x[..., first] * scale_first +
+        x[..., second] * scale_second mod q, then in the Sylvester basis one
+        fast transform of every payload row.
+
+        With `rows` None, x holds the helpers' own rows: (..., h, N) for a
+        slice of helpers, (..., N) for one helper's index.  Otherwise x holds
+        codewords (..., k+2, N), and `rows` is the column of row indices that
+        picks the helpers' rows.  Only the gathered halves are widened to
+        int64, so x may stay in its stored dtype.
+        """
+        scale_first, scale_second = (
+            None if s is None else s[helpers] for s in (self.scale_first, self.scale_second)
+        )
+        # take gathers plain rows in C order, where x[..., first] comes out
+        # column-major; C order lets the sum reduce in place and spares the
+        # recover gather and the transform's reshape a copy.  Widening the
+        # first half before gathering the second keeps one narrow half alive.
+        a = np.take(x, self.first, axis=-1) if rows is None else x[..., rows, self.first]
+        if a.dtype != np.int64:
+            a = a.astype(np.int64)
+        b = np.take(x, self.second, axis=-1) if rows is None else x[..., rows, self.second]
+        if b.dtype != np.int64:
+            b = b.astype(np.int64)
+        if scale_first is not None:
+            a *= scale_first
+        if scale_second is not None:
+            b *= scale_second
+        a += b
+        del b
+        a = np.remainder(a, self.q, out=a if a.flags.c_contiguous else None, order="C")
+        if self.kind == STANDARD:
+            return a
+        out = fast_hadamard_apply(a)
+        return np.remainder(out, self.q, out=out)
 
     def recover(self, payloads: np.ndarray) -> np.ndarray:
         """Cancel and recover stacked payloads (..., k+1, N/2)."""
@@ -316,18 +280,18 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
     order = (*plan.seeds, *plan.cancel_nodes)
     if sorted(order) != sorted(plan.helper_matrices):
         raise ValueError("the helpers must be the seeds and the cancel nodes")
-    tasks = [plan.helper_matrices[node] for node in order]
-    m = tasks[0].matrix
-    for t in tasks:
-        same = t.matrix.index is m.index or np.array_equal(t.matrix.index, m.index)
-        if t.matrix.kind != m.kind or not same:
+    matrices = [plan.helper_matrices[node] for node in order]
+    m = matrices[0]
+    for other in matrices:
+        same = other.index is m.index or np.array_equal(other.index, m.index)
+        if other.kind != m.kind or not same:
             raise ValueError("every helper must pair the same columns in the same basis")
-    signs = [[t.matrix.second_sign] for t in tasks]
+    signs = [[other.second_sign] for other in matrices]
     scale_first = None
-    scale_second = None if signs == [[1]] * len(tasks) else np.array(signs)
-    if any(t.premultiply is not None for t in tasks):
+    scale_second = None if signs == [[1]] * len(order) else np.array(signs)
+    if plan.premultiply:
         ones = np.ones(n, dtype=np.int64)
-        pre = np.array([ones if t.premultiply is None else t.premultiply for t in tasks])
+        pre = np.array([plan.premultiply.get(node, ones) for node in order])
         scale_first = pre[:, m.first]
         scale_second = signs * pre[:, m.second]
 
@@ -371,15 +335,19 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
 class RepairPlan:
     """Everything needed to rebuild one failed node from helper payloads.
 
-    `compiled`, its execution tables, and the counts behind cost() are
-    derived from the fields on first use and kept on the instance; a plan
-    made with dataclasses.replace compiles and counts its own.
+    `helper_matrices` maps each helper node to the repair matrix it applies,
+    and `premultiply` maps a helper that first scales its rows entrywise (the
+    second parity's repair) to that diagonal.  `compiled`, its execution
+    tables, and the counts behind cost() are derived from the fields on first
+    use and kept on the instance; a plan made with dataclasses.replace
+    compiles and counts its own.
     """
 
     params: CodeParams
     failed: int
     strategy: str
     helper_matrices: dict
+    premultiply: dict
     seeds: tuple
     cancel_nodes: tuple
     cancel_diagonals: dict
@@ -395,24 +363,15 @@ class RepairPlan:
     def downloaded_symbols(self) -> int:
         return (self.params.k + 1) * self.params.n // 2
 
-    def download(self, stack) -> np.ndarray:
-        """Payloads (..., k+1, N/2) of the helpers' rows (..., k+1, N),
-        stacked in combine order (`compiled.order`)."""
-        n, helpers = self.params.n, self.params.k + 1
-        x = np.asarray(stack, dtype=np.int64)
-        if x.shape[-2:] != (helpers, n):
-            raise ValueError(f"helper rows must have shape (..., {helpers}, {n})")
-        return self.compiled.download(x)
-
-    def helper_payload(self, node: int, vec) -> np.ndarray:
-        """One helper's payload of rows (..., N): the one-row download."""
+    def helper_payload(self, node: int, rows) -> np.ndarray:
+        """The N/2 symbols helper `node` ships for each of its rows (..., N),
+        which may be in their stored dtype; returns (..., N/2)."""
         if node not in self.helper_matrices:
             raise ValueError(f"node {node} is not a helper for this repair")
-        x = np.asarray(vec, dtype=np.int64)
+        x = np.asarray(rows)
         if x.shape[-1:] != (self.params.n,):
             raise ValueError(f"rows must have shape (..., {self.params.n})")
-        i = self.compiled.order.index(node)
-        return self.compiled.download(x[..., None, :], helpers=slice(i, i + 1))[..., 0, :]
+        return self.compiled.download(x, helpers=self.compiled.order.index(node))
 
     def recover_dense(self) -> np.ndarray:
         if isinstance(self.recover_map, PairRecover):
@@ -456,14 +415,12 @@ class RepairPlan:
             return int(np.maximum(nnz - 1, 0).sum()), muls(matrix)
 
         download = [0, 0]
-        for task in self.helper_matrices.values():
+        for m in self.helper_matrices.values():
             # standard: one add per row; sylvester: the published schedule of
             # two length-N/2 transforms (k*N/2 adds each) plus one signed
-            # combine, a cost model rather than a trace of apply()
-            rows = task.matrix.rows
-            download[0] += rows if task.matrix.kind == STANDARD else (2 * k + 1) * rows
-            if task.premultiply is not None:
-                download[1] += muls(task.premultiply)
+            # combine, a cost model rather than a trace of the download
+            download[0] += m.rows if m.kind == STANDARD else (2 * k + 1) * m.rows
+        download[1] = sum(muls(d) for d in self.premultiply.values())
 
         # each cancel node folds into u1 and u2: two length-N/2 sums
         cancel = [n * len(self.cancel_nodes), 0]
@@ -488,13 +445,13 @@ class RepairPlan:
 
 
 def _plan_pieces(params: CodeParams, failed: int, kind: str):
-    """Matrices, helper tasks, seeds, and cancel/recover diagonals per case."""
+    """Matrices (S, S~), seeds, and cancel/recover diagonals per case; the
+    second seed is the one helper that applies S~."""
     k = params.k
     alpha = [coding_matrix(params, l) for l in range(1, k + 1)]
     if 1 <= failed <= k:
         s = systematic_repair_matrix(k, failed, kind)
         s_tilde = s
-        helpers = {l: HelperTask(s) for l in range(1, k + 3) if l != failed}
         seeds = (k + 1, k + 2)
         cancel_nodes = tuple(l for l in range(1, k + 1) if l != failed)
         diag_recover = alpha[failed - 1]
@@ -502,8 +459,6 @@ def _plan_pieces(params: CodeParams, failed: int, kind: str):
         cancel_sign = -1
     elif failed == k + 1:
         s, s_tilde = parity1_repair_matrices(k, kind)
-        helpers = {l: HelperTask(s) for l in range(1, k + 1)}
-        helpers[k + 2] = HelperTask(s_tilde)
         seeds = (1, k + 2)
         cancel_nodes = tuple(range(2, k + 1))
         diag_recover = alpha[0]
@@ -511,10 +466,6 @@ def _plan_pieces(params: CodeParams, failed: int, kind: str):
         cancel_sign = 1
     elif failed == k + 2:
         s, s_tilde = parity2_repair_matrices(k, kind)
-        helpers = {
-            l: HelperTask(s, premultiply=alpha[l - 1]) for l in range(1, k + 1)
-        }
-        helpers[k + 1] = HelperTask(s_tilde)
         seeds = (1, k + 1)
         cancel_nodes = tuple(range(2, k + 1))
         p = [inverse_coding_matrix(params, l) for l in range(1, k + 1)]
@@ -523,7 +474,7 @@ def _plan_pieces(params: CodeParams, failed: int, kind: str):
         cancel_sign = 1
     else:
         raise ValueError(f"node id {failed} out of range 1..{k + 2}")
-    return s, s_tilde, helpers, seeds, cancel_nodes, diag_recover, interference, cancel_sign
+    return s, s_tilde, seeds, cancel_nodes, diag_recover, interference, cancel_sign
 
 
 @lru_cache(maxsize=None)
@@ -543,9 +494,15 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
     kind = STRATEGY_BASIS[strategy]
     f = params.field
     q = params.q
-    s, s_tilde, helpers, seeds, cancel_nodes, diag_recover, interference, cancel_sign = _plan_pieces(
+    s, s_tilde, seeds, cancel_nodes, diag_recover, interference, cancel_sign = _plan_pieces(
         params, failed, kind
     )
+    helpers = {l: s for l in range(1, params.k + 3) if l != failed}
+    helpers[seeds[1]] = s_tilde
+    # the second parity's helpers scale their rows by their coding diagonal
+    premultiply = {}
+    if failed == params.k + 2:
+        premultiply = {l: coding_matrix(params, l) for l in range(1, params.k + 1)}
     j1, j2 = s.first, s.second
     cancel_diagonals = {l: d[j1] for l, d in interference.items()}
     c1 = diag_recover[j1] % q
@@ -577,6 +534,7 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
         failed=failed,
         strategy=strategy,
         helper_matrices=helpers,
+        premultiply=premultiply,
         seeds=seeds,
         cancel_nodes=cancel_nodes,
         cancel_diagonals=cancel_diagonals,
@@ -696,7 +654,7 @@ def verify_rank_conditions(params: CodeParams, strategy: str = "new") -> RankRep
     conditions = []
     for failed in range(1, params.k + 3):
         try:
-            s, s_tilde, _, _, cancel_nodes, diag_recover, interference, _ = _plan_pieces(
+            s, s_tilde, _, cancel_nodes, diag_recover, interference, _ = _plan_pieces(
                 params, failed, kind
             )
         except ZeroDivisionError:

@@ -147,8 +147,8 @@ def test_criterion_7_bandwidth(tmp_path, searched_params):
                     cluster.cmd_kill(root, node)
                     shapes = {}
 
-                    def audit(state_, helper, task):
-                        payload = cluster.read_repair_payload(state_, helper, task)
+                    def audit(state_, plan, helper):
+                        payload = cluster.read_repair_payload(state_, plan, helper)
                         shapes[helper] = payload.shape
                         return payload
 

@@ -355,8 +355,8 @@ class TestRepair:
         cmd_kill(state.root, 3)
         seen = []
 
-        def counting_reader(state_, helper, task):
-            out = read_repair_payload(state_, helper, task)
+        def counting_reader(state_, plan, helper):
+            out = read_repair_payload(state_, plan, helper)
             seen.append((helper, out.shape))
             return out
 

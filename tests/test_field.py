@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from hadamard_msr.codec import demo_params
 from hadamard_msr.field import PrimeField, is_prime
-from hadamard_msr.repair import HelperTask, build_repair_plan
+from hadamard_msr.repair import build_repair_plan
 
 from conftest import SMALL_PRIMES
 
@@ -121,17 +121,17 @@ class TestCounting:
         plan = demo_plan(2, 4)  # parity-2 repair: helpers premultiply
         q = plan.params.q
         assert q == 7
-        ones = {
-            l: HelperTask(t.matrix, None if t.premultiply is None else np.ones_like(t.premultiply))
-            for l, t in plan.helper_matrices.items()
-        }
-        base = replace(plan, helper_matrices=ones).cost()["download"]
+        ones = {l: np.ones_like(d) for l, d in plan.premultiply.items()}
+        assert sorted(ones) == [1, 2]
+        plain = replace(plan, premultiply=ones)
+        base = plain.cost()["download"]
         assert base[1] == 0
         consts = np.array([0, 1, 6, 3, 5, 1, 1, 1])
-        task = HelperTask(ones[1].matrix, consts)
+        scaled = replace(plan, premultiply={**ones, 1: consts})
         x = np.full(8, 2)
-        assert np.array_equal(task.payload(x, q), task.matrix.apply([0, 2, 5, 6, 3, 2, 2, 2], q))
-        cost = replace(plan, helper_matrices={**ones, 1: task}).cost()["download"]
+        same = plain.helper_payload(1, [0, 2, 5, 6, 3, 2, 2, 2])
+        assert np.array_equal(scaled.helper_payload(1, x), same)
+        cost = scaled.cost()["download"]
         # only 3 and 5 cost a multiplication, and scaling adds nothing
         assert cost == (base[0], 2)
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hadamard_msr.codec import CodeParams, demo_params, encode, encode_blocks
+from hadamard_msr.codec import CodeParams, demo_params, encode, encode_blocks, search_params
 from hadamard_msr.design import sylvester
 from hadamard_msr.repair import (
     STANDARD,
@@ -125,21 +125,35 @@ class TestSelectorStructure:
 
     @pytest.mark.parametrize("basis_kind", ["standard", "sylvester"])
     @pytest.mark.parametrize("k", range(2, 9))
-    def test_apply_matches_dense(self, k, basis_kind, rng):
-        # every matrix of the case list, so both second-occurrence signs,
-        # on one row and on a stack of rows
-        q = 13
-        for m in all_matrices(k, basis_kind):
-            dense = m.dense(q)
-            vec = rng.integers(0, q, size=m.n, dtype=np.int64)
-            assert np.array_equal(m.apply(vec, q), dense @ vec % q)
-            rows = rng.integers(0, q, size=(3, m.n), dtype=np.int64)
-            assert np.array_equal(m.apply(rows, q), rows @ dense.T % q)
-            # stored segment dtype, and a premultiply folded into the sum
-            assert np.array_equal(m.apply(rows.astype("<u2"), q), rows @ dense.T % q)
-            pre = rng.integers(1, q, size=m.n, dtype=np.int64)
-            assert np.array_equal(m.apply(rows, q, pre), rows * pre @ dense.T % q)
-        assert {m.second_sign for m in all_matrices(k, basis_kind)} == {1, -1}
+    def test_apply_matches_dense(self, k, basis_kind, rng, searched_params):
+        # plan.helper_payload is (rows * premultiply) @ dense.T for every
+        # helper of every plan, so both second-occurrence signs, on one row
+        # and on a stack of rows, in the stored segment dtype, and with a
+        # premultiply on every helper folded into the sum
+        params = params_for(k, searched_params) if k <= 6 else search_params(k, 19)
+        q, n = params.q, params.n
+        strategy = {STANDARD: "new", SYLVESTER: "original"}[basis_kind]
+        signs = set()
+        for node in range(1, k + 3):
+            plan = build_repair_plan(params, node, strategy)
+            pre = {h: rng.integers(1, q, size=n, dtype=np.int64) for h in plan.helper_matrices}
+            scaled = replace(plan, premultiply=pre)
+            dense = {}
+            for h, m in plan.helper_matrices.items():
+                assert m.kind == basis_kind
+                signs.add(m.second_sign)
+                if id(m) not in dense:
+                    dense[id(m)] = m.dense(q)
+                d = dense[id(m)]
+                own = plan.premultiply.get(h, 1)
+                vec = rng.integers(0, q, size=n, dtype=np.int64)
+                assert np.array_equal(plan.helper_payload(h, vec), d @ (vec * own) % q)
+                rows = rng.integers(0, q, size=(3, n), dtype=np.int64)
+                expected = rows * own @ d.T % q
+                assert np.array_equal(plan.helper_payload(h, rows), expected), (node, h)
+                assert np.array_equal(plan.helper_payload(h, rows.astype("<u2")), expected)
+                assert np.array_equal(scaled.helper_payload(h, rows), rows * pre[h] @ d.T % q)
+        assert signs == {1, -1}
 
     def test_download_cost_per_helper(self, searched_params):
         # standard basis: one add per output row; sylvester: the published
@@ -210,8 +224,8 @@ class TestPlans:
         for strategy in STRATEGIES:
             for node in range(1, 6):
                 plan = build_repair_plan(demo_k3, node, strategy)
-                for helper, task in plan.helper_matrices.items():
-                    payload = task.payload(word[helper - 1], 11)
+                for helper in plan.helper_matrices:
+                    payload = plan.helper_payload(helper, word[helper - 1])
                     assert payload.shape == (8,)
 
     def test_strategies_restore_identical_content(self, demo_k3, rng):
@@ -281,31 +295,34 @@ class TestPlans:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_download_is_concrete(self, k, strategy, rng, searched_params):
-        # the stacked download ships N/2 symbols per helper and codeword, row
-        # i being helper order[i]'s payload: the dense repair matrix applied
-        # to its (premultiplied) content
+        # the stacked download execute_repair runs ships N/2 symbols per
+        # helper and codeword, row i being helper order[i]'s payload: the same
+        # as plan.helper_payload on its own rows, in either dtype, and as the
+        # dense repair matrix applied to its (premultiplied) content
         params = params_for(k, searched_params)
         q, n = params.q, params.n
         words = encode_blocks(params, rng.integers(0, q, size=(3, k, n)))
         for node in range(1, k + 3):
             plan = build_repair_plan(params, node, strategy)
-            order = plan.compiled.order
+            run = plan.compiled
+            order = run.order
             assert sorted(order) == sorted(plan.helper_matrices)
-            stack = words[:, np.array(order) - 1]
-            payloads = plan.download(stack)
+            payloads = run.download(words, rows=run.rows)
             assert payloads.shape == (3, k + 1, n // 2)
             assert payloads[0].size == plan.downloaded_symbols
+            assert np.array_equal(run.download(words[:, np.array(order) - 1]), payloads)
             for i, h in enumerate(order):
-                task = plan.helper_matrices[h]
                 rows = words[:, h - 1]
                 assert np.array_equal(payloads[:, i], plan.helper_payload(h, rows)), (node, h)
-                assert np.array_equal(payloads[:, i], task.payload(rows, q)), (node, h)
                 stored = rows.astype("<u2")
-                assert np.array_equal(payloads[:, i], task.payload(stored, q)), (node, h)
-                scaled = rows if task.premultiply is None else rows * task.premultiply
-                assert np.array_equal(payloads[:, i], scaled @ task.matrix.dense(q).T % q)
+                assert np.array_equal(payloads[:, i], plan.helper_payload(h, stored)), (node, h)
+                scaled = rows * plan.premultiply.get(h, 1)
+                dense = plan.helper_matrices[h].dense(q)
+                assert np.array_equal(payloads[:, i], scaled @ dense.T % q), (node, h)
+            with pytest.raises(ValueError, match="not a helper"):
+                plan.helper_payload(node, words[:, node - 1])
         with pytest.raises(ValueError, match="shape"):
-            plan.download(stack[:, 1:])
+            plan.helper_payload(order[0], words[:, 0, 1:])
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_results_own_their_symbols(self, strategy, demo_k3, rng):
@@ -361,7 +378,7 @@ class TestPlans:
             q, kind = params.q, STRATEGY_BASIS[strategy]
             for node in range(1, k + 3):
                 plan = build_repair_plan(params, node, strategy)
-                s, s_tilde, _, _, _, diag, _, _ = _plan_pieces(params, node, kind)
+                s, s_tilde, _, _, diag, _, _ = _plan_pieces(params, node, kind)
                 r = plan.recover_dense() % q
                 stacked = np.vstack([s.dense(q), s_tilde.dense(q) * diag[None, :] % q])
                 eye = np.eye(params.n, dtype=np.int64)
@@ -466,9 +483,7 @@ class TestPlanCost:
         for node in range(1, 6):
             plan = build_repair_plan(demo_k3, node, "new")
             r = plan.recover_map
-            premultiplied = [
-                t.premultiply for t in plan.helper_matrices.values() if t.premultiply is not None
-            ]
+            premultiplied = list(plan.premultiply.values())
             diagonals = [plan.cancel_diagonals[l] for l in plan.cancel_nodes]
             weights = [r.w11, r.w12, r.w21, r.w22]
             cost = plan.cost()
