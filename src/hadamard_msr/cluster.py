@@ -274,8 +274,9 @@ def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
 def read_repair_payload(state: ClusterState, plan: RepairPlan, helper: int) -> np.ndarray:
     """Default payload reader, the hook payload_reader(state, plan, helper):
     the helper reads its segment once, transforms all its chunks locally
-    through plan.helper_payload and ships (chunks, N/2) symbols.  Tests swap
-    this out to audit download volume."""
+    through plan.helper_payload and ships (chunks, N/2) symbols, which
+    cmd_repair stacks in combine order for plan.compiled.recover.  Tests
+    swap this out to audit download volume or to ship malformed payloads."""
     p = state.params
     rows = read_segment(state.segment_path(helper), p, helper, state.manifest.chunk_count)
     return plan.helper_payload(helper, rows)
@@ -325,11 +326,20 @@ def cmd_repair(
             )
         raise UnrecoverableError(f"only {alive} nodes alive; data is unrecoverable")
     plan = build_repair_plan(params, node, strategy)
+    run = plan.compiled
     chunks = state.manifest.chunk_count
-    payloads = {h: np.asarray(payload_reader(state, plan, h)) for h in plan.helper_matrices}
-    shipped = {helper: int(rows.size) for helper, rows in payloads.items()}
+    shape = (chunks, params.n // 2)
+    stack = np.empty((chunks, len(run.order), shape[1]), dtype=np.int64)
+    shipped = {}
+    for i, helper in enumerate(run.order):
+        payload = np.asarray(payload_reader(state, plan, helper))
+        if payload.shape != shape:
+            raise IntegrityError(f"helper {helper} shipped {payload.shape}, expected {shape}")
+        stack[:, i] = payload
+        shipped[helper] = int(payload.size)
+        del payload  # the stack holds a copy; free it before the next download
     segment = state.segment_path(node)
-    write_segment(segment, params, node, plan.assemble(payloads))
+    write_segment(segment, params, node, run.recover(stack))
     segment.with_name(segment.name + DEAD_SUFFIX).unlink(missing_ok=True)
     cost = plan.cost()
     return RepairSummary(

@@ -17,13 +17,15 @@ dense.  RepairPlan.cost() derives what that difference costs per phase from
 the plan's constants alone, and it is the only source of counts.
 
 Execution is uncounted and runs tables compiled once per plan
-(RepairPlan.compiled) on rows of shape (..., N), one per chunk.  One
-download kernel, CompiledRepair.download, serves both roles: the helper's,
+(RepairPlan.compiled) on rows of shape (..., N), one per chunk, through two
+kernels.  CompiledRepair.download is the helper's side: one helper's rows
 through RepairPlan.helper_payload (what the cluster's helpers run on their
-stored segments), and the repairer's, through execute_repair's one stacked
-download for all k+1 helpers.  Then, in the standard basis, one pair-sparse
-product cancels and recovers at once; the Sylvester basis keeps its dense
-cancel and recover as two products.
+stored segments), or all k+1 helpers' rows of codewords at once.
+CompiledRepair.recover is the repairer's side, over the payloads stacked
+(..., k+1, N/2) in combine order, whether execute_repair downloaded them
+or the cluster's helpers shipped them.  In the standard basis it is one
+pair-sparse product that cancels and recovers at once; the Sylvester basis
+keeps its dense cancel and recover as two products.
 """
 
 from __future__ import annotations
@@ -175,13 +177,14 @@ class CompiledRepair:
     `scale_second` (None where all ones).
 
     In the standard basis cancel and recover fold into one pair-sparse map
-    over the payloads P (..., k+1, N/2),
-    out[j] = sum_i weights[i, j] * P[i, gather[j]]: two entries per output
-    from each helper, reduced once, every partial sum below (k+1) q^2.  In
-    the Sylvester basis that fold would be a dense (k+1) N/2 x N table whose
-    build costs (k-1) N (N/2)^2 multiply-adds per plan, so the dense cancel
-    (`cancel_t`, the transposed B_l) and recover (`recover_t`) stay two
-    products, each over all chunks at once.
+    over the payloads P (..., k+1, N/2): payload position m feeds only the
+    outputs j1[m] and j2[m], so out[j1[m]], out[j2[m]] = pair_weights[m] @
+    P[..., :, m], every partial sum below (k+1) q^2, and `unpair` puts the
+    pairs back in column order.  In the Sylvester basis that fold would be a
+    dense (k+1) N/2 x N table whose build costs (k-1) N (N/2)^2
+    multiply-adds per plan, so the dense cancel (`cancel_t`, the transposed
+    B_l) and recover (`recover_t`) stay two products, each over all chunks
+    at once.
     """
 
     q: int
@@ -192,35 +195,36 @@ class CompiledRepair:
     second: np.ndarray
     scale_first: np.ndarray | None
     scale_second: np.ndarray | None
-    gather: np.ndarray | None
-    weights: np.ndarray | None
+    pair_weights: np.ndarray | None
+    unpair: np.ndarray | None
     cancel_sign: int
     cancel_t: tuple
     recover_t: np.ndarray | None
 
-    def download(self, x, rows=None, helpers=slice(None)) -> np.ndarray:
-        """The one download kernel: payloads (..., N/2) of the helpers
-        `helpers` of the combine order, x[..., first] * scale_first +
+    def download(self, x, helper=None) -> np.ndarray:
+        """The one download kernel: x[..., first] * scale_first +
         x[..., second] * scale_second mod q, then in the Sylvester basis one
         fast transform of every payload row.
 
-        With `rows` None, x holds the helpers' own rows: (..., h, N) for a
-        slice of helpers, (..., N) for one helper's index.  Otherwise x holds
-        codewords (..., k+2, N), and `rows` is the column of row indices that
-        picks the helpers' rows.  Only the gathered halves are widened to
-        int64, so x may stay in its stored dtype.
+        With `helper` None, x holds codewords (..., k+2, N) and the result is
+        every helper's payload, stacked in combine order (..., k+1, N/2).
+        With `helper` an index into the combine order, x holds that helper's
+        rows (..., N) and the result is its payload (..., N/2).  Only the
+        gathered halves are widened to int64, so x may stay in its stored
+        dtype.
         """
         scale_first, scale_second = (
-            None if s is None else s[helpers] for s in (self.scale_first, self.scale_second)
+            s if s is None or helper is None else s[helper]
+            for s in (self.scale_first, self.scale_second)
         )
         # take gathers plain rows in C order, where x[..., first] comes out
         # column-major; C order lets the sum reduce in place and spares the
-        # recover gather and the transform's reshape a copy.  Widening the
-        # first half before gathering the second keeps one narrow half alive.
-        a = np.take(x, self.first, axis=-1) if rows is None else x[..., rows, self.first]
+        # transform's reshape a copy.  Widening the first half before
+        # gathering the second keeps one narrow half alive.
+        a = x[..., self.rows, self.first] if helper is None else np.take(x, self.first, axis=-1)
         if a.dtype != np.int64:
             a = a.astype(np.int64)
-        b = np.take(x, self.second, axis=-1) if rows is None else x[..., rows, self.second]
+        b = x[..., self.rows, self.second] if helper is None else np.take(x, self.second, axis=-1)
         if b.dtype != np.int64:
             b = b.astype(np.int64)
         if scale_first is not None:
@@ -236,38 +240,22 @@ class CompiledRepair:
         return np.remainder(out, self.q, out=out)
 
     def recover(self, payloads: np.ndarray) -> np.ndarray:
-        """Cancel and recover stacked payloads (..., k+1, N/2)."""
-        if self.weights is None:
-            return self._cancel_then_recover([payloads[..., i, :] for i in range(len(self.order))])
-        picked = np.take(payloads, self.gather, axis=-1)
-        picked *= self.weights
-        out = picked.sum(axis=-2)
-        out %= self.q
-        return out
-
-    def accumulate(self, payloads: list) -> np.ndarray:
-        """recover() over one payload array (..., N/2) per helper, in combine
-        order, summed helper by helper instead of stacked."""
-        if self.weights is None:
-            return self._cancel_then_recover(payloads)
-        out = None
-        for p, w in zip(payloads, self.weights):
-            term = np.take(p, self.gather, axis=-1)
-            term *= w
-            if out is None:
-                out = term
-            else:
-                out += term
-        out %= self.q
-        return out
-
-    def _cancel_then_recover(self, payloads: list) -> np.ndarray:
+        """The one recover kernel: cancel interference and recover the failed
+        node's symbols (..., N) from stacked int64 payloads (..., k+1, N/2) in
+        combine order, which it never writes into."""
+        lead, half = payloads.shape[:-2], payloads.shape[-1]
+        if self.pair_weights is not None:
+            pairs = np.matmul(self.pair_weights, payloads.swapaxes(-1, -2)[..., None])
+            pairs %= self.q
+            return np.take(pairs.reshape(*lead, 2 * half), self.unpair, axis=-1)
+        # cancel into the two halves u1, u2 of one fresh buffer
         combine = np.add if self.cancel_sign > 0 else np.subtract
-        u1, u2 = (np.array(p) for p in payloads[:2])
-        for p, b_t in zip(payloads[2:], self.cancel_t):
+        u = np.array(payloads[..., :2, :]).reshape(*lead, 2 * half)
+        u1, u2 = u[..., :half], u[..., half:]
+        for i, b_t in enumerate(self.cancel_t, start=2):
+            p = payloads[..., i, :]
             combine(u1, p, out=u1)
             combine(u2, p @ b_t, out=u2)
-        u = np.concatenate((u1, u2), axis=-1)
         u %= self.q
         out = u @ self.recover_t
         out %= self.q
@@ -298,19 +286,20 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
     # u1 = P_seed1 + c P_l and u2 = P_seed2 + c B_l P_l over the cancel nodes
     # l, with B_l diagonal in cancel_diagonals or dense in cancel_dense
     c, r = plan.cancel_sign, plan.recover_map
-    gather = weights = recover_t = None
+    pair_weights = unpair = recover_t = None
     cancel_t = ()
     if plan.cancel_dense is None:
         # out[j1] = w11 u1 + w12 u2 and out[j2] = w21 u1 + w22 u2, per helper
         b = np.array([plan.cancel_diagonals[l] for l in plan.cancel_nodes])
-        weights = np.empty((len(order), n), dtype=np.int64)
-        for j, w1, w2 in ((r.j1, r.w11, r.w12), (r.j2, r.w21, r.w22)):
-            weights[0, j] = w1
-            weights[1, j] = w2
-            weights[2:, j] = (w1 + w2 * b) * c
-        weights %= q
-        gather = np.empty(n, dtype=np.intp)
-        gather[r.j1] = gather[r.j2] = np.arange(half)
+        pair_weights = np.empty((half, 2, len(order)), dtype=np.int64)
+        for t, (w1, w2) in enumerate(((r.w11, r.w12), (r.w21, r.w22))):
+            pair_weights[:, t, 0] = w1
+            pair_weights[:, t, 1] = w2
+            pair_weights[:, t, 2:] = ((w1 + w2 * b) * c).T
+        pair_weights %= q
+        unpair = np.empty(n, dtype=np.intp)
+        unpair[r.j1] = np.arange(0, n, 2)
+        unpair[r.j2] = np.arange(1, n, 2)
     else:
         cancel_t = tuple(plan.cancel_dense[l].T for l in plan.cancel_nodes)
         recover_t = plan.recover_dense().T
@@ -323,8 +312,8 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
         second=m.second,
         scale_first=scale_first,
         scale_second=scale_second,
-        gather=gather,
-        weights=weights,
+        pair_weights=pair_weights,
+        unpair=unpair,
         cancel_sign=c,
         cancel_t=cancel_t,
         recover_t=recover_t,
@@ -371,22 +360,12 @@ class RepairPlan:
         x = np.asarray(rows)
         if x.shape[-1:] != (self.params.n,):
             raise ValueError(f"rows must have shape (..., {self.params.n})")
-        return self.compiled.download(x, helpers=self.compiled.order.index(node))
+        return self.compiled.download(x, helper=self.compiled.order.index(node))
 
     def recover_dense(self) -> np.ndarray:
         if isinstance(self.recover_map, PairRecover):
             return self.recover_map.dense(self.params.n)
         return self.recover_map
-
-    def assemble(self, payloads: dict) -> np.ndarray:
-        """Cancel interference and recover the failed node's N symbols from
-        payloads of one shared shape (..., N/2); returns (..., N)."""
-        half = self.params.n // 2
-        rows = [np.asarray(payloads[node], dtype=np.int64) for node in self.compiled.order]
-        shape = rows[0].shape
-        if shape[-1:] != (half,) or any(p.shape != shape for p in rows):
-            raise ValueError(f"payloads must share one shape (..., {half})")
-        return self.compiled.accumulate(rows)
 
     def cost(self) -> dict:
         """Per-phase (adds, muls) of repairing one chunk, from the plan alone;
@@ -544,30 +523,15 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
     )
 
 
-def execute_repair(plan: RepairPlan, survivors) -> np.ndarray:
-    """Rebuild the failed node's content from the k+1 survivors.
-
-    `survivors` is either a map node id -> rows of one shared shape (..., N)
-    covering all helpers, or codewords of shape (..., k+2, N) whose failed
-    row is ignored; returns (..., N).
-    """
+def execute_repair(plan: RepairPlan, codewords) -> np.ndarray:
+    """Rebuild the failed node's content from codewords (..., k+2, N) whose
+    failed row is ignored; returns (..., N)."""
     n, width = plan.params.n, plan.params.k + 2
+    word = np.asarray(codewords, dtype=np.int64)
+    if word.shape[-2:] != (width, n):
+        raise ValueError(f"codewords must have shape (..., {width}, {n})")
     run = plan.compiled
-    if isinstance(survivors, dict):
-        missing = [node for node in run.order if node not in survivors]
-        if missing:
-            raise ValueError(f"missing helper data for node {missing[0]}")
-        rows = [np.asarray(survivors[node], dtype=np.int64) for node in run.order]
-        shape = rows[0].shape
-        if shape[-1:] != (n,) or any(r.shape != shape for r in rows):
-            raise ValueError(f"survivor rows must share one shape (..., {n})")
-        payloads = run.download(np.stack(rows, axis=-2))
-    else:
-        word = np.asarray(survivors, dtype=np.int64)
-        if word.shape[-2:] != (width, n):
-            raise ValueError(f"codewords must have shape (..., {width}, {n})")
-        payloads = run.download(word, rows=run.rows)
-    return run.recover(payloads)
+    return run.recover(run.download(word))
 
 
 @dataclass(frozen=True)

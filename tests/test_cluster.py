@@ -367,6 +367,51 @@ class TestRepair:
         assert summary.shipped == tally == {1: 4 * chunks, 2: 4 * chunks, 4: 4 * chunks}
         assert summary.downloaded_symbols == 3 * 4 * chunks
 
+    @pytest.mark.parametrize("strategy", ["new", "original"])
+    def test_malformed_payload_rejected(self, tmp_path, payload, strategy):
+        # a shipped payload must be exactly (chunks, N/2): broadcasting would
+        # otherwise stretch (N/2,) or (1, N/2) over every chunk
+        state, _ = make_cluster(tmp_path, payload)
+        cmd_kill(state.root, 1)
+        chunks = state.manifest.chunk_count
+        for bad in (np.zeros((chunks, 5)), np.zeros(4), np.zeros((1, 4))):
+            for victim in (2, 3, 4):
+
+                def reader(state_, plan, helper):
+                    out = read_repair_payload(state_, plan, helper)
+                    return bad if helper == victim else out
+
+                with pytest.raises(IntegrityError, match=f"helper {victim} shipped"):
+                    cmd_repair(state.root, 1, strategy=strategy, payload_reader=reader)
+                assert not state.segment_path(1).exists()
+                assert tombstone(state, 1).is_file()
+                assert sorted(p.name for p in state.root.iterdir()) == [
+                    "manifest.txt",
+                    "node-01.seg.dead",
+                    "node-02.seg",
+                    "node-03.seg",
+                    "node-04.seg",
+                ]
+        cmd_repair(state.root, 1, strategy=strategy)
+        assert cmd_decode(state.root) == payload[1]
+
+    @pytest.mark.parametrize("strategy", ["new", "original"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_empty_cluster_repair(self, tmp_path, k, strategy):
+        # kill refuses an empty cluster, so the segment is tombstoned by hand
+        src = tmp_path / "empty.bin"
+        src.write_bytes(b"")
+        state = cmd_encode(src, tmp_path / "cluster", k=k, demo=True)
+        for node in range(1, k + 3):
+            segment = state.segment_path(node)
+            before = segment.read_bytes()
+            segment.rename(tombstone(state, node))
+            summary = cmd_repair(state.root, node, strategy=strategy)
+            assert summary.chunks == 0 and summary.downloaded_symbols == 0
+            assert segment.read_bytes() == before
+            assert not tombstone(state, node).exists()
+            assert cmd_decode(state.root) == b""
+
     def test_op_totals_scale_with_chunks(self, tmp_path, payload):
         state, _ = make_cluster(tmp_path, payload)
         cmd_kill(state.root, 1)

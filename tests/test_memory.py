@@ -1,4 +1,5 @@
-"""Peak-allocation gates for packing, encode, decode and helper downloads.
+"""Peak-allocation gates for packing, encode, decode, repair and helper
+downloads.
 
 tracemalloc sees numpy's array buffers, so a peak here is the extra memory a
 call allocates, measured on 1 MiB of input at k=3 (4 MiB for downloads).
@@ -17,6 +18,7 @@ from hadamard_msr.cluster import (
     cmd_decode,
     cmd_encode,
     cmd_kill,
+    cmd_repair,
     read_repair_payload,
 )
 from hadamard_msr.repair import build_repair_plan
@@ -84,6 +86,25 @@ def test_decode_peak_two_dead_nodes(data, tmp_path, dead):
     out, peak = peak_of(lambda: cmd_decode(root))
     assert out == data
     assert peak <= 64 * SIZE
+
+
+# Per input byte at q=257 (48 input bytes per chunk): the int64 payload
+# stack (256 bytes per chunk, 5.3), the pair products and their unpaired
+# copy (2 x 128, 5.3), or under original the cancel buffer and the recover
+# product in their place.
+@pytest.mark.parametrize("strategy", ["new", "original"])
+def test_repair_peak(data, tmp_path, strategy):
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    root = tmp_path / "cluster"
+    cmd_encode(src, root, k=3, q=257)
+    for node in (2, 5):
+        segment = ClusterState.load(root).segment_path(node)
+        before = segment.read_bytes()
+        cmd_kill(root, node)
+        _, peak = peak_of(lambda: cmd_repair(root, node, strategy=strategy))
+        assert segment.read_bytes() == before
+        assert peak <= 11 * SIZE, (node, peak / SIZE)
 
 
 @pytest.fixture(scope="module")

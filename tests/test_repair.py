@@ -196,20 +196,6 @@ class TestPlans:
             got = execute_repair(plan, word)
             assert np.array_equal(got, word[node - 1]), (k, strategy, node)
 
-    def test_survivor_dict_input(self, demo_k2, rng):
-        parts = rng.integers(0, 7, size=(2, 8), dtype=np.int64)
-        word = encode(demo_k2, parts)
-        plan = build_repair_plan(demo_k2, 1, "new")
-        survivors = {m: word[m - 1] for m in (2, 3, 4)}
-        assert np.array_equal(execute_repair(plan, survivors), word[0])
-
-    def test_missing_helper_rejected(self, demo_k2, rng):
-        parts = rng.integers(0, 7, size=(2, 8), dtype=np.int64)
-        word = encode(demo_k2, parts)
-        plan = build_repair_plan(demo_k2, 1, "new")
-        with pytest.raises(ValueError, match="missing helper"):
-            execute_repair(plan, {2: word[1], 3: word[2]})
-
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_download_volume(self, strategy, searched_params):
         for k in (2, 3, 4, 5, 6):
@@ -240,18 +226,23 @@ class TestPlans:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_batch_matches_one_codeword_at_a_time(self, k, strategy, batch, rng, searched_params):
         # the batched API path, one call per codeword and the cluster path
-        # (helper payloads, then assemble) all rebuild the erased rows
+        # (each helper's payload, stacked in combine order, then the one
+        # recover) all rebuild the erased rows, and recover leaves the stack
         params = params_for(k, searched_params)
         words = encode_blocks(params, rng.integers(0, params.q, size=(batch, k, params.n)))
         for node in range(1, k + 3):
             plan = build_repair_plan(params, node, strategy)
-            payloads = {h: plan.helper_payload(h, words[:, h - 1]) for h in plan.helper_matrices}
-            for h, rows in payloads.items():
+            order = plan.compiled.order
+            payloads = [plan.helper_payload(h, words[:, h - 1]) for h in order]
+            for h, rows in zip(order, payloads):
                 singles = [plan.helper_payload(h, w[h - 1]) for w in words]
                 assert np.array_equal(rows, np.stack(singles)), (node, h)
+            stack = np.stack(payloads, axis=-2)
+            kept = stack.copy()
             batched = execute_repair(plan, words)
             singles = np.stack([execute_repair(plan, w) for w in words])
-            cluster = plan.assemble(payloads)
+            cluster = plan.compiled.recover(stack)
+            assert np.array_equal(stack, kept), node
             for got in (batched, singles, cluster):
                 assert got.shape == (batch, params.n), node
                 assert np.array_equal(got, words[:, node - 1]), node
@@ -263,12 +254,10 @@ class TestPlans:
         words = encode_blocks(params, rng.integers(0, params.q, size=(4, 3, n)))
         for node in range(1, width + 1):
             plan = build_repair_plan(params, node, strategy)
-            # any leading batch axes, in array or map form
+            # any leading batch axes
             nested = words.reshape(2, 2, width, n)
             got = execute_repair(plan, nested)
             assert np.array_equal(got, nested[..., node - 1, :]), node
-            survivors = {h: nested[..., h - 1, :] for h in plan.helper_matrices}
-            assert np.array_equal(execute_repair(plan, survivors), got), node
         plan = build_repair_plan(params, 2, strategy)
         expected = rf"\(\.\.\., {width}, {n}\)"
         for bad in (
@@ -281,24 +270,27 @@ class TestPlans:
         ):
             with pytest.raises(ValueError, match=expected):
                 execute_repair(plan, bad)
-        word = words[0]
-        rows = {h: word[h - 1] for h in plan.helper_matrices}
-        for bad in (
-            {**rows, 1: np.append(word[0], 0)},  # one wider row
-            {**rows, 3: word[None, 2]},  # one row with an extra axis
-            {h: np.append(r, 0) for h, r in rows.items()},  # all rows too wide
-            {h: r[:-1] for h, r in rows.items()},
-        ):
-            with pytest.raises(ValueError, match="shape"):
-                execute_repair(plan, bad)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_zero_chunk_batch(self, k, strategy, demo_k2, demo_k3):
+        params = demo_k2 if k == 2 else demo_k3
+        n = params.n
+        for node in range(1, k + 3):
+            plan = build_repair_plan(params, node, strategy)
+            got = execute_repair(plan, np.zeros((0, k + 2, n), dtype=np.int64))
+            assert got.shape == (0, n), node
+            stack = np.zeros((0, k + 1, n // 2), dtype=np.int64)
+            assert plan.compiled.recover(stack).shape == (0, n), node
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_download_is_concrete(self, k, strategy, rng, searched_params):
         # the stacked download execute_repair runs ships N/2 symbols per
         # helper and codeword, row i being helper order[i]'s payload: the same
-        # as plan.helper_payload on its own rows, in either dtype, and as the
-        # dense repair matrix applied to its (premultiplied) content
+        # as the kernel and plan.helper_payload on its own rows, in either
+        # dtype, and as the dense repair matrix applied to its (premultiplied)
+        # content
         params = params_for(k, searched_params)
         q, n = params.q, params.n
         words = encode_blocks(params, rng.integers(0, q, size=(3, k, n)))
@@ -307,12 +299,13 @@ class TestPlans:
             run = plan.compiled
             order = run.order
             assert sorted(order) == sorted(plan.helper_matrices)
-            payloads = run.download(words, rows=run.rows)
+            payloads = run.download(words)
             assert payloads.shape == (3, k + 1, n // 2)
             assert payloads[0].size == plan.downloaded_symbols
-            assert np.array_equal(run.download(words[:, np.array(order) - 1]), payloads)
+            assert np.array_equal(run.download(words.astype("<u2")), payloads)
             for i, h in enumerate(order):
                 rows = words[:, h - 1]
+                assert np.array_equal(payloads[:, i], run.download(rows, helper=i)), (node, h)
                 assert np.array_equal(payloads[:, i], plan.helper_payload(h, rows)), (node, h)
                 stored = rows.astype("<u2")
                 assert np.array_equal(payloads[:, i], plan.helper_payload(h, stored)), (node, h)
@@ -331,23 +324,17 @@ class TestPlans:
         words = encode_blocks(params, rng.integers(0, params.q, size=(2, 3, params.n)))
         for node in range(1, 6):
             plan = build_repair_plan(params, node, strategy)
-            word = words[0]
-            survivors = {h: word[h - 1] for h in plan.helper_matrices}
-            for out in (execute_repair(plan, word), execute_repair(plan, survivors)):
-                assert out.base is None and out.shape == (params.n,), node
-                assert out.flags.owndata and out.nbytes == params.n * out.itemsize
-                assert not np.shares_memory(out, words)
+            out = execute_repair(plan, words[0])
+            assert out.base is None and out.shape == (params.n,), node
+            assert out.flags.owndata and out.nbytes == params.n * out.itemsize
+            assert not np.shares_memory(out, words)
             batch = execute_repair(plan, words)
             assert batch.base is None and batch.shape == (2, params.n), node
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_mismatched_payload_shapes_rejected(self, strategy, demo_k2):
+        # the cluster rejects malformed shipped payloads (test_cluster.py)
         plan = build_repair_plan(demo_k2, 1, strategy)
-        rows = {h: np.zeros((3, 4), dtype=np.int64) for h in plan.helper_matrices}
-        for node in (*plan.seeds, *plan.cancel_nodes):
-            for bad in (np.zeros((1, 4)), np.zeros(4), np.zeros((3, 5))):
-                with pytest.raises(ValueError, match="shape"):
-                    plan.assemble({**rows, node: bad})
         with pytest.raises(ValueError, match="shape"):
             plan.helper_payload(2, np.zeros((3, 4)))
 
@@ -396,16 +383,19 @@ def cancel_map(half, sign, blocks):
 
 def fused_map(plan):
     """The compiled cancel-and-recover map as a dense (N, (k+1) N/2) matrix
-    over the stacked payloads: the standard weights at their gathered
-    columns, or the Sylvester recover times cancel."""
+    over the stacked payloads: output j reads payload position m of every
+    helper with the weights of pair m, slot t, where unpair[j] = 2 m + t; or
+    the Sylvester recover times cancel."""
     run, q, n = plan.compiled, plan.params.q, plan.params.n
     half = n // 2
-    if run.weights is None:
+    if run.pair_weights is None:
         cancel = cancel_map(half, run.cancel_sign, [b.T for b in run.cancel_t])
         return run.recover_t.T @ cancel % q
+    assert sorted(run.unpair) == list(range(n))
+    m, t = np.divmod(run.unpair, 2)
     out = np.zeros((n, len(run.order) * half), dtype=np.int64)
     for i in range(len(run.order)):
-        out[np.arange(n), i * half + run.gather] = run.weights[i]
+        out[np.arange(n), i * half + m] = run.pair_weights[m, t, i]
     return out
 
 
