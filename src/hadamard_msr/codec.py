@@ -137,9 +137,12 @@ def _candidate_pairs(q: int) -> list[tuple[int, int]]:
 def find_coefficients(k: int, q: int) -> tuple[tuple, tuple] | None:
     """First valid (a, b) assignment in deterministic search order.
 
-    Depth-first over positions 1..k, trying per-position candidate pairs in
-    lexicographic (a_i, b_i) order, so the result is the lexicographically
-    smallest valid (a_1, b_1, ..., a_k, b_k).  Returns None when no
+    Depth-first over positions 1..k, trying candidate pairs in lexicographic
+    (a_i, b_i) order, so the result is the lexicographically smallest valid
+    (a_1, b_1, ..., a_k, b_k).  Compatibility is symmetric, so any ordering
+    of a valid set is valid and the smallest one is ascending: each position
+    tries only the pairs after the previous one, and every candidate set is
+    visited once instead of in all k! of its orders.  Returns None when no
     assignment exists for this q.
     """
     if not is_prime(q) or q < 2 * k + 3:
@@ -148,18 +151,18 @@ def find_coefficients(k: int, q: int) -> tuple[tuple, tuple] | None:
 
     chosen: list[tuple[int, int]] = []
 
-    def extend() -> bool:
+    def extend(start: int) -> bool:
         if len(chosen) == k:
             return True
-        for p in pairs:
-            if all(_cross_compatible(q, *p, *c) for c in chosen):
-                chosen.append(p)
-                if extend():
+        for i in range(start, len(pairs)):
+            if all(_cross_compatible(q, *pairs[i], *c) for c in chosen):
+                chosen.append(pairs[i])
+                if extend(i + 1):
                     return True
                 chosen.pop()
         return False
 
-    if not extend():
+    if not extend(0):
         return None
     return tuple(p[0] for p in chosen), tuple(p[1] for p in chosen)
 

@@ -15,7 +15,6 @@ from hadamard_msr.codec import demo_params, encode, decode, search_params, valid
 from hadamard_msr.design import fast_hadamard_apply, sign_vector, sylvester
 from hadamard_msr.metering import bound_formulas, measure_repair
 from hadamard_msr.repair import (
-    STANDARD,
     build_repair_plan,
     execute_repair,
     parity1_repair_matrices,
@@ -65,12 +64,12 @@ def test_criterion_1_coefficient_validation():
 
 def test_criterion_2_repair_matrix_reproduction():
     with Budget(1.0, "2 (dense repair selectors at k=2)"):
-        assert np.array_equal(systematic_repair_matrix(2, 1, STANDARD).dense(), S1_DENSE)
-        assert np.array_equal(systematic_repair_matrix(2, 2, STANDARD).dense(), S2_DENSE)
-        s, s_tilde = parity1_repair_matrices(2, STANDARD)
+        assert np.array_equal(systematic_repair_matrix(2, 1).dense(), S1_DENSE)
+        assert np.array_equal(systematic_repair_matrix(2, 2).dense(), S2_DENSE)
+        s, s_tilde = parity1_repair_matrices(2)
         assert np.array_equal(s.dense(), P1_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P1_ST_DENSE)
-        s, s_tilde = parity2_repair_matrices(2, STANDARD)
+        s, s_tilde = parity2_repair_matrices(2)
         assert np.array_equal(s.dense(), P2_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P2_ST_DENSE)
 

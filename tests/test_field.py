@@ -93,19 +93,12 @@ class TestCounting:
     def test_mul_free_operand_costs_nothing(self):
         plan = demo_plan(2, 1)
         q, n = plan.params.q, plan.params.n
-        half = plan.recover_map.j1.size
-        free = replace(
-            plan.recover_map,
-            w11=np.ones(half, dtype=np.int64),
-            w12=np.full(half, q - 1),  # -1, free sign flip
-            w21=np.zeros(half, dtype=np.int64),
-            w22=np.ones(half, dtype=np.int64),
-        )
-        assert replace(plan, recover_map=free).cost()["recover"] == (n, 0)
-        w22 = free.w22.copy()
-        w22[0] = 3
-        costly = replace(free, w22=w22)
-        assert replace(plan, recover_map=costly).cost()["recover"] == (n, 1)
+        # w11 = 1, w12 = -1 (a free sign flip), w21 = 0, w22 = 1 in every block
+        free = np.broadcast_to([[1, q - 1], [0, 1]], plan.recover_blocks.shape).copy()
+        assert replace(plan, recover_blocks=free).cost()["recover"] == (n, 0)
+        costly = free.copy()
+        costly[0, 1, 1] = 3
+        assert replace(plan, recover_blocks=costly).cost()["recover"] == (n, 1)
 
     def test_vector_helpers(self):
         # folding one payload into u1 and u2 is two length-N/2 vector sums

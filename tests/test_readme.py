@@ -1,4 +1,5 @@
-"""The README's count tables, Cluster layout and Layout blocks agree with the code."""
+"""The README's count tables, Python API, Cluster layout and Layout blocks
+agree with the code."""
 
 from pathlib import Path
 
@@ -37,6 +38,12 @@ def test_count_tables_match_emit_table(k):
     for row in rows:
         row[1] = row[1].replace(" ", "")  # "parity 1" -> "parity1"
     assert rows == expected
+
+
+def test_python_api_block_runs():
+    block = README.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "execute_repair" in block
+    exec(compile(block, "README.md (Python API)", "exec"), {})
 
 
 def layout_paths() -> list:

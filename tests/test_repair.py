@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,8 @@ import pytest
 from hadamard_msr.codec import CodeParams, demo_params, encode, encode_blocks, search_params
 from hadamard_msr.design import sylvester
 from hadamard_msr.repair import (
-    STANDARD,
     STRATEGIES,
-    STRATEGY_BASIS,
-    SYLVESTER,
-    PairRecover,
-    RepairMatrix,
+    RepairPlan,
     _plan_pieces,
     build_repair_plan,
     execute_repair,
@@ -23,6 +19,22 @@ from hadamard_msr.repair import (
 )
 
 from conftest import params_for
+
+
+def same(a, b) -> bool:
+    """Deep equality over dataclasses, dicts, tuples and arrays (dtype too)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b)
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[x], b[x]) for x in a)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
 
 # dense selector matrices for the k=2 code, frozen by hand: each row picks
 # two coordinates of a length-8 node vector
@@ -78,48 +90,48 @@ P2_ST_DENSE = np.array(
 
 class TestSelectorMatricesK2:
     def test_systematic(self):
-        assert np.array_equal(systematic_repair_matrix(2, 1, STANDARD).dense(), S1_DENSE)
-        assert np.array_equal(systematic_repair_matrix(2, 2, STANDARD).dense(), S2_DENSE)
+        assert np.array_equal(systematic_repair_matrix(2, 1).dense(), S1_DENSE)
+        assert np.array_equal(systematic_repair_matrix(2, 2).dense(), S2_DENSE)
 
     def test_parity1_pair(self):
-        s, s_tilde = parity1_repair_matrices(2, STANDARD)
+        s, s_tilde = parity1_repair_matrices(2)
         assert np.array_equal(s.dense(), P1_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P1_ST_DENSE)
 
     def test_parity2_pair(self):
-        s, s_tilde = parity2_repair_matrices(2, STANDARD)
+        s, s_tilde = parity2_repair_matrices(2)
         assert np.array_equal(s.dense(), P2_S_DENSE)
         assert np.array_equal(s_tilde.dense(), P2_ST_DENSE)
 
-    def test_sylvester_variant_is_transformed(self):
-        h = sylvester(2)
-        dense_std = systematic_repair_matrix(2, 1, STANDARD).dense()
-        dense_syl = systematic_repair_matrix(2, 1, SYLVESTER).dense()
-        assert np.array_equal(dense_syl, h @ dense_std)
 
-
-def all_matrices(k, kind):
-    out = [systematic_repair_matrix(k, i, kind) for i in range(1, k + 1)]
-    out.extend(parity1_repair_matrices(k, kind))
-    out.extend(parity2_repair_matrices(k, kind))
+def all_matrices(k):
+    out = [systematic_repair_matrix(k, i) for i in range(1, k + 1)]
+    out.extend(parity1_repair_matrices(k))
+    out.extend(parity2_repair_matrices(k))
     return out
 
 
 class TestSelectorStructure:
     @pytest.mark.parametrize("k", range(2, 6))
     def test_every_coordinate_hit_twice(self, k):
+        # the rows pair up the columns: every column in exactly one row, the
+        # +1 column first, and the dense form has those two entries per row
         n = 1 << (k + 1)
-        for m in all_matrices(k, STANDARD):
-            counts = np.bincount(m.index, minlength=n // 2)
-            assert counts.tolist() == [2] * (n // 2)
-            assert set(np.unique(m.sign)) <= {-1, 1}
+        for m in all_matrices(k):
+            assert m.first.shape == m.second.shape == (n // 2,)
+            assert sorted(np.concatenate([m.first, m.second]).tolist()) == list(range(n))
+            assert (m.first < m.second).all()
             assert m.second_sign in (-1, 1)
+            dense = m.dense()
+            assert (np.count_nonzero(dense, axis=1) == 2).all()
+            assert (dense[np.arange(n // 2), m.first] == 1).all()
+            assert (dense[np.arange(n // 2), m.second] == m.second_sign).all()
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_full_rank_over_rationals(self, k):
         # stacking the pair selectors for a node spans the whole space
         n = 1 << (k + 1)
-        s, s_tilde = parity1_repair_matrices(k, STANDARD)
+        s, s_tilde = parity1_repair_matrices(k)
         stacked = np.vstack([s.dense(), s_tilde.dense()])
         assert np.linalg.matrix_rank(stacked.astype(float)) == n
 
@@ -129,10 +141,11 @@ class TestSelectorStructure:
         # plan.helper_payload is (rows * premultiply) @ dense.T for every
         # helper of every plan, so both second-occurrence signs, on one row
         # and on a stack of rows, in the stored segment dtype, and with a
-        # premultiply on every helper folded into the sum
+        # premultiply on every helper folded into the sum; the Sylvester
+        # basis's dense form is H times the standard one
         params = params_for(k, searched_params) if k <= 6 else search_params(k, 19)
         q, n = params.q, params.n
-        strategy = {STANDARD: "new", SYLVESTER: "original"}[basis_kind]
+        strategy = {"standard": "new", "sylvester": "original"}[basis_kind]
         signs = set()
         for node in range(1, k + 3):
             plan = build_repair_plan(params, node, strategy)
@@ -140,10 +153,10 @@ class TestSelectorStructure:
             scaled = replace(plan, premultiply=pre)
             dense = {}
             for h, m in plan.helper_matrices.items():
-                assert m.kind == basis_kind
                 signs.add(m.second_sign)
                 if id(m) not in dense:
-                    dense[id(m)] = m.dense(q)
+                    d = m.dense() if strategy == "new" else sylvester(k) @ m.dense()
+                    dense[id(m)] = d % q
                 d = dense[id(m)]
                 own = plan.premultiply.get(h, 1)
                 vec = rng.integers(0, q, size=n, dtype=np.int64)
@@ -168,21 +181,6 @@ class TestSelectorStructure:
             original = build_repair_plan(params, 1, "original").cost()["download"]
             assert original == (helpers * (2 * k + 1) * n // 2, 0)
 
-    def test_bad_signs_rejected(self):
-        m = systematic_repair_matrix(2, 1, STANDARD)
-        for sign, match in (
-            (2 * m.sign, "signs must be"),
-            (-m.sign, "first occurrence"),
-            (np.where(np.arange(m.n) == m.second[0], -1, 1), "uniform"),
-        ):
-            with pytest.raises(ValueError, match=match):
-                RepairMatrix(SYLVESTER, m.index, sign)
-
-    def test_unknown_kind_rejected(self):
-        m = systematic_repair_matrix(2, 1, STANDARD)
-        with pytest.raises(ValueError, match="basis kind"):
-            RepairMatrix("hadamard", m.index, m.sign)
-
 
 class TestPlans:
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -204,6 +202,23 @@ class TestPlans:
                 plan = build_repair_plan(params, node, strategy)
                 assert plan.downloaded_symbols == (k + 1) * (1 << k)
                 assert len(plan.helper_matrices) == k + 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_strategies_share_one_plan(self, k, searched_params):
+        # the basis lives in `strategy` alone: both plans hold the same
+        # standard-basis fields, and a new plan retagged "original" compiles
+        # and counts exactly what the original plan does
+        params = params_for(k, searched_params)
+        for node in range(1, k + 3):
+            new = build_repair_plan(params, node, "new")
+            original = build_repair_plan(params, node, "original")
+            for f in fields(RepairPlan):
+                if f.name != "strategy":
+                    assert same(getattr(new, f.name), getattr(original, f.name)), (node, f.name)
+            retagged = replace(new, strategy="original")
+            assert same(retagged.compiled, original.compiled), node
+            assert not same(new.compiled, original.compiled), node
+            assert retagged.cost() == original.cost() != new.cost(), node
 
     def test_helper_payload_sizes(self, demo_k3, rng):
         word = encode(demo_k3, rng.integers(0, 11, size=(3, 16), dtype=np.int64))
@@ -310,7 +325,9 @@ class TestPlans:
                 stored = rows.astype("<u2")
                 assert np.array_equal(payloads[:, i], plan.helper_payload(h, stored)), (node, h)
                 scaled = rows * plan.premultiply.get(h, 1)
-                dense = plan.helper_matrices[h].dense(q)
+                dense = plan.helper_matrices[h].dense()
+                if strategy == "original":
+                    dense = sylvester(k) @ dense
                 assert np.array_equal(payloads[:, i], scaled @ dense.T % q), (node, h)
             with pytest.raises(ValueError, match="not a helper"):
                 plan.helper_payload(node, words[:, node - 1])
@@ -352,24 +369,34 @@ class TestPlans:
             build_repair_plan(demo_k2, 5, "new")
 
     def test_pair_recover_rows_have_two_entries(self, demo_k2):
+        # row first[m] and row second[m] of R read u1[m] and u2[m] only
         for node in range(1, 5):
             plan = build_repair_plan(demo_k2, node, "new")
-            assert isinstance(plan.recover_map, PairRecover)
+            s, half = plan.helper_matrices[plan.seeds[0]], demo_k2.n // 2
+            assert plan.recover_blocks.shape == (half, 2, 2)
             dense = plan.recover_dense() % demo_k2.q
             assert np.all((dense != 0).sum(axis=1) <= 2)
+            for t, rows in enumerate((s.first, s.second)):
+                assert np.array_equal(dense[rows, np.arange(half)], plan.recover_blocks[:, t, 0])
+                assert np.array_equal(dense[rows, half + np.arange(half)], plan.recover_blocks[:, t, 1])
 
     def test_recover_dense_inverts_selection(self, searched_params):
-        # recovering from [S g; S~ D g] must reproduce g: R @ stacked = I
+        # recovering from [S g; S~ D g] must reproduce g: R @ stacked = I, and
+        # the Sylvester recover map inverts the stack in its basis,
+        # kron(I_2, H) [S; S~ D]
         for k, strategy in itertools.product(range(2, 7), STRATEGIES):
             params = params_for(k, searched_params)
-            q, kind = params.q, STRATEGY_BASIS[strategy]
+            q = params.q
+            to_sylvester = np.kron(np.eye(2, dtype=np.int64), sylvester(k))
             for node in range(1, k + 3):
                 plan = build_repair_plan(params, node, strategy)
-                s, s_tilde, _, _, diag, _, _ = _plan_pieces(params, node, kind)
+                s, s_tilde, _, _, diag, _, _ = _plan_pieces(params, node)
                 r = plan.recover_dense() % q
                 stacked = np.vstack([s.dense(q), s_tilde.dense(q) * diag[None, :] % q])
                 eye = np.eye(params.n, dtype=np.int64)
                 assert np.array_equal(r @ stacked % q, eye), (k, strategy, node)
+                r_syl = plan.sylvester_tables[1]
+                assert np.array_equal(r_syl @ (to_sylvester @ stacked) % q, eye), (k, strategy, node)
 
 
 def cancel_map(half, sign, blocks):
@@ -400,14 +427,17 @@ def fused_map(plan):
 
 
 def reference_map(plan):
-    """The same map written out from the plan's fields."""
+    """The same map written out from the plan's fields, through the
+    Sylvester tables under "original"."""
     half = plan.params.n // 2
-    if plan.cancel_dense is None:
+    if plan.strategy == "new":
         blocks = [np.diag(plan.cancel_diagonals[l]) for l in plan.cancel_nodes]
+        recover = plan.recover_dense()
     else:
-        blocks = [plan.cancel_dense[l] for l in plan.cancel_nodes]
+        tables, recover = plan.sylvester_tables
+        blocks = [tables[l] for l in plan.cancel_nodes]
     cancel = cancel_map(half, plan.cancel_sign, blocks)
-    return plan.recover_dense() @ cancel % plan.params.q
+    return recover @ cancel % plan.params.q
 
 
 class TestCompiledMaps:
@@ -436,8 +466,6 @@ class TestCompiledMaps:
         stale = plan.compiled
         twice = {l: 2 * d % q for l, d in plan.cancel_diagonals.items()}
         changed = replace(plan, cancel_diagonals=twice)
-        if plan.cancel_dense is not None:
-            changed = replace(changed, cancel_dense={l: 2 * d % q for l, d in plan.cancel_dense.items()})
         assert changed.compiled is not stale
         assert np.array_equal(fused_map(changed), reference_map(changed))
         assert not np.array_equal(fused_map(changed), fused_map(plan))
@@ -472,10 +500,9 @@ class TestPlanCost:
         free_seen = 0
         for node in range(1, 6):
             plan = build_repair_plan(demo_k3, node, "new")
-            r = plan.recover_map
             premultiplied = list(plan.premultiply.values())
             diagonals = [plan.cancel_diagonals[l] for l in plan.cancel_nodes]
-            weights = [r.w11, r.w12, r.w21, r.w22]
+            weights = [plan.recover_blocks.ravel()]
             cost = plan.cost()
             assert cost["download"][1] == sum(costly(p, q) for p in premultiplied)
             assert cost["cancel"][1] == sum(costly(d, q) for d in diagonals)
@@ -493,13 +520,14 @@ class TestPlanCost:
 
         for node in range(1, 6):
             plan = build_repair_plan(demo_k3, node, "original")
-            cancel = [dense(plan.cancel_dense[l]) for l in plan.cancel_nodes]
+            tables, recover = plan.sylvester_tables
+            cancel = [dense(tables[l]) for l in plan.cancel_nodes]
             cost = plan.cost()
             assert cost["cancel"] == (
                 len(cancel) * n + sum(a for a, _ in cancel),
                 sum(m for _, m in cancel),
             )
-            assert cost["recover"] == dense(plan.recover_map)
+            assert cost["recover"] == dense(recover)
 
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -542,14 +570,19 @@ class TestRankConditions:
         assert len(report.conditions) == k * (k + 2)
 
     def test_invalid_coefficients_fail_at_second_parity(self):
+        # under "original" elimination runs on the Sylvester-basis stacks,
+        # which must find the same defect
         broken = CodeParams(2, 7, (3, 1), (1, 4), check=False)
-        report = verify_rank_conditions(broken, "new")
-        assert not report.ok
-        failed = {(c.failed, c.label) for c in report.failures()}
-        assert (4, "recover") in failed
-        assert any(label.startswith("interference") for _, label in failed)
-        # both ranking methods still agree on the defect
-        assert all(c.methods_agree for c in report.conditions)
+        reports = [verify_rank_conditions(broken, strategy) for strategy in STRATEGIES]
+        for report in reports:
+            assert not report.ok
+            failed = {(c.failed, c.label) for c in report.failures()}
+            assert (4, "recover") in failed
+            assert any(label.startswith("interference") for _, label in failed)
+            # both ranking methods still agree on the defect
+            assert all(c.methods_agree for c in report.conditions)
+        new, original = ([(c.failed, c.label, c.elim_rank) for c in r.conditions] for r in reports)
+        assert new == original
 
     def test_predicted_rank_matches_elimination_everywhere(self, demo_k3):
         report = verify_rank_conditions(demo_k3, "original")
