@@ -86,13 +86,12 @@ def _cmd_verify(args) -> int:
     if args.params is not None:
         if args.cluster is not None:
             raise cluster.UsageError("pass a cluster directory or --params, not both")
-        k_str, sep, q_str = args.params.partition(",")
+        # without a comma q_str is "", so int() rejects it like any non-integer
+        k_str, _, q_str = args.params.partition(",")
         try:
             k, q = int(k_str), int(q_str)
         except ValueError:
             raise cluster.UsageError("--params expects two integers: k,q") from None
-        if not sep:
-            raise cluster.UsageError("--params expects two integers: k,q")
         try:
             if DEMO_COEFFICIENTS.get(k, (None,))[0] == q:
                 params = demo_params(k)

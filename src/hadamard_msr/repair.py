@@ -45,7 +45,7 @@ from .codec import (
     encode,
     inverse_coding_matrix,
 )
-from .design import fast_hadamard_apply, lemma2_partner, sylvester
+from .design import fast_hadamard_apply, lemma2_partner
 
 STRATEGIES = ("new", "original")
 
@@ -413,6 +413,15 @@ def _plan_pieces(params: CodeParams, failed: int):
     return s, s_tilde, seeds, cancel_nodes, diag_recover, interference, cancel_sign
 
 
+def _pair_blocks(s: RepairMatrix, s_tilde: RepairMatrix, diag: np.ndarray, q: int):
+    """Row m of the stack [S; S~ D] ties (u1, u2)[m] to g at (first,
+    second)[m] by the block [[1, s2], [c1, c2]], s2 the second sign of S;
+    returns c1, c2 and the block determinants c2 - s2 c1, all mod q."""
+    c1 = diag[s.first] % q
+    c2 = s_tilde.second_sign * diag[s.second] % q
+    return c1, c2, (c2 - s.second_sign * c1) % q
+
+
 @lru_cache(maxsize=None)
 def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairPlan:
     """Repair plan for one failed node; plans are cached and immutable.
@@ -434,10 +443,8 @@ def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairP
     premultiply = {}
     if failed == params.k + 2:
         premultiply = {l: coding_matrix(params, l) for l in range(1, params.k + 1)}
-    # row m ties (u1, u2)[m] to g at (first, second)[m] by [[1, s2], [c1, c2]]
-    c1 = diag_recover[s.first] % q
-    c2 = s_tilde.second_sign * diag_recover[s.second] % q
-    det_inv = params.field.inv_vec(c2 - s.second_sign * c1)
+    c1, c2, det = _pair_blocks(s, s_tilde, diag_recover, q)
+    det_inv = params.field.inv_vec(det)
     adjugate = np.stack([c2, np.full_like(c2, -s.second_sign), -c1, np.ones_like(c2)], axis=-1)
     return RepairPlan(
         params=params,
@@ -494,7 +501,6 @@ class RankCondition:
 @dataclass(frozen=True)
 class RankReport:
     params: CodeParams
-    strategy: str
     conditions: tuple
 
     @property
@@ -513,31 +519,23 @@ def _rank_condition(
     s_tilde: RepairMatrix,
     diag: np.ndarray,
     full_rank: bool,
-    h: np.ndarray | None,
 ) -> RankCondition:
-    f, q, n = params.field, params.q, params.n
+    q, n = params.q, params.n
     half = n // 2
-    j1, j2 = s.first, s.second
-    c1 = diag[j1] % q
-    c2 = s_tilde.second_sign * diag[j2] % q
-    dets = (c2 - s.second_sign * c1) % q
-    nonzero = int(np.count_nonzero(dets))
+    nonzero = int(np.count_nonzero(_pair_blocks(s, s_tilde, diag, q)[2]))
     pair_ok = nonzero == half if full_rank else nonzero == 0
     stack = np.vstack([s.dense(q), s_tilde.dense(q) * diag[None, :] % q])
-    if h is not None:
-        # kron(I_2, H) times the stack, [H S; H S~ D], the Sylvester basis's
-        stack = (h @ stack.reshape(2, half, n)).reshape(n, n) % q
     return RankCondition(
         failed=failed,
         label=label,
         expected_rank=n if full_rank else half,
         pair_ok=pair_ok,
         predicted_rank=half + nonzero,
-        elim_rank=f.rank(stack),
+        elim_rank=params.field.rank(stack),
     )
 
 
-def verify_rank_conditions(params: CodeParams, strategy: str = "new") -> RankReport:
+def verify_rank_conditions(params: CodeParams) -> RankReport:
     """Check every repair's recover and interference rank requirement.
 
     Per failed node: the recover stack [S; S~ D] must reach full rank N, and
@@ -545,11 +543,12 @@ def verify_rank_conditions(params: CodeParams, strategy: str = "new") -> RankRep
     pair-determinant argument and an elimination oracle are run; a condition
     passes only when they agree and match the expectation.  Reports failures
     instead of raising, so deliberately broken parameter sets can be graded.
-    Under "original" elimination runs on the stacks in the Sylvester basis.
+
+    One pass covers both strategies.  The "original" stacks are kron(I_2, H)
+    times these, with H the Sylvester matrix of order N/2; H^2 = (N/2) I and
+    N/2 is invertible mod the odd prime q, so that factor is invertible and
+    leaves every rank unchanged.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    h = sylvester(params.k) if strategy == "original" else None
     conditions = []
     for failed in range(1, params.k + 3):
         try:
@@ -568,31 +567,23 @@ def verify_rank_conditions(params: CodeParams, strategy: str = "new") -> RankRep
                 )
             )
             continue
-        conditions.append(
-            _rank_condition(params, failed, "recover", s, s_tilde, diag_recover, True, h)
+        cases = [("recover", diag_recover, True)] + [
+            (f"interference from node {l}", interference[l], False) for l in cancel_nodes
+        ]
+        conditions += (
+            _rank_condition(params, failed, label, s, s_tilde, diag, full_rank)
+            for label, diag, full_rank in cases
         )
-        for l in cancel_nodes:
-            conditions.append(
-                _rank_condition(
-                    params,
-                    failed,
-                    f"interference from node {l}",
-                    s,
-                    s_tilde,
-                    interference[l],
-                    False,
-                    h,
-                )
-            )
-    return RankReport(params=params, strategy=strategy, conditions=tuple(conditions))
+    return RankReport(params=params, conditions=tuple(conditions))
 
 
-def verify_params(params: CodeParams, strategies=STRATEGIES) -> tuple[bool, list]:
+def verify_params(params: CodeParams) -> tuple[bool, list]:
     """Grade a parameter set; returns (ok, report lines).
 
     Checks the coefficient constraints, the coding matrices and their
     inverses, that every erasure pattern of up to two nodes decodes exactly,
-    and each strategy's rank conditions.  Failures are reported, not raised.
+    and the rank conditions, checked once for both strategies (see
+    verify_rank_conditions).  Failures are reported, not raised.
     """
     lines = [
         f"parameters: k={params.k} q={params.q} "
@@ -659,20 +650,17 @@ def verify_params(params: CodeParams, strategies=STRATEGIES) -> tuple[bool, list
             f"ok: all {len(patterns)} erasure patterns (up to two nodes) decode exactly"
         )
 
-    for strategy in strategies:
-        report = verify_rank_conditions(params, strategy)
-        good = sum(c.ok for c in report.conditions)
-        if report.ok:
+    report = verify_rank_conditions(params)
+    count = len(report.conditions)
+    if report.ok:
+        lines.append(f"ok: rank conditions: {count}/{count} pass")
+    else:
+        ok = False
+        for c in report.failures():
             lines.append(
-                f"ok: rank conditions ({strategy}): {good}/{len(report.conditions)} pass"
+                f"FAIL rank condition: node {c.failed} {c.label}: "
+                f"expected rank {c.expected_rank}, pairs "
+                f"{'consistent' if c.pair_ok else 'inconsistent'}, "
+                f"elimination rank {c.elim_rank}"
             )
-        else:
-            ok = False
-            for c in report.failures():
-                lines.append(
-                    f"FAIL rank condition ({strategy}): node {c.failed} {c.label}: "
-                    f"expected rank {c.expected_rank}, pairs "
-                    f"{'consistent' if c.pair_ok else 'inconsistent'}, "
-                    f"elimination rank {c.elim_rank}"
-                )
     return ok, lines

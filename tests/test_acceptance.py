@@ -31,6 +31,7 @@ from test_repair import (
     P2_ST_DENSE,
     S1_DENSE,
     S2_DENSE,
+    rank_stacks,
 )
 
 
@@ -186,11 +187,18 @@ def test_criterion_8_mds_property(searched_params):
 def test_criterion_9_rank_conditions(searched_params):
     with Budget(10.0, "9 (rank conditions, submatrix vs elimination)"):
         for params in (demo_params(2), demo_params(3), searched_params[4], searched_params[5]):
-            for strategy in ("new", "original"):
-                report = verify_rank_conditions(params, strategy)
-                assert report.ok, (params.k, strategy, report.failures())
-                assert all(c.methods_agree for c in report.conditions)
-                assert all(c.predicted_rank == c.elim_rank for c in report.conditions)
+            report = verify_rank_conditions(params)
+            assert report.ok, (params.k, report.failures())
+            assert len(report.conditions) == params.k * (params.k + 2)
+            assert all(c.methods_agree for c in report.conditions)
+            assert all(c.predicted_rank == c.elim_rank for c in report.conditions)
+            # one pass covers "original" too: its stacks, kron(I_2, H) times
+            # these, have the same elimination ranks
+            to_sylvester = np.kron(np.eye(2, dtype=np.int64), sylvester(params.k))
+            for c, (failed, label, stack) in zip(report.conditions, rank_stacks(params)):
+                assert (c.failed, c.label) == (failed, label)
+                sylvester_rank = params.field.rank(to_sylvester @ stack % params.q)
+                assert sylvester_rank == c.elim_rank, (params.k, failed, label)
 
 
 def test_criterion_10_lemma_suite():

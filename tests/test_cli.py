@@ -27,8 +27,7 @@ VERIFY_K2_DEMO = [
     "ok: coding matrices pairwise distinct at every entry",
     "ok: inverse coding matrices verified",
     "ok: all 11 erasure patterns (up to two nodes) decode exactly",
-    "ok: rank conditions (new): 8/8 pass",
-    "ok: rank conditions (original): 8/8 pass",
+    "ok: rank conditions: 8/8 pass",
     "verification passed",
 ]
 
@@ -232,13 +231,30 @@ class TestVerify:
             "ok: coding matrices pairwise distinct at every entry",
             "ok: inverse coding matrices verified",
             "ok: all 22 erasure patterns (up to two nodes) decode exactly",
-            "ok: rank conditions (new): 24/24 pass",
-            "ok: rank conditions (original): 24/24 pass",
+            "ok: rank conditions: 24/24 pass",
+            "verification passed",
+        ]
+
+    def test_k7_params_pass(self, capsys):
+        # k=7: 63 rank conditions on 256 x 256 stacks, eliminated once each
+        assert main(["verify", "--params", "7,19"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "parameters: k=7 q=19 a=2,2,4,4,5,5,9 b=9,10,6,13,8,11,5",
+            "ok: coefficient constraints hold for k=7, q=19",
+            "ok: coding matrix entries all nonzero",
+            "ok: coding matrices pairwise distinct at every entry",
+            "ok: inverse coding matrices verified",
+            "ok: all 46 erasure patterns (up to two nodes) decode exactly",
+            "ok: rank conditions: 63/63 pass",
             "verification passed",
         ]
 
     def test_bad_params_format(self, capsys):
-        assert main(["verify", "--params", "seven"]) == 1
+        for spec in ("seven", "3", "3,", "3,7,1"):
+            assert main(["verify", "--params", spec]) == 1, spec
+            captured = capsys.readouterr()
+            assert captured.out == "", spec
+            assert captured.err == "error: --params expects two integers: k,q\n", spec
 
     def test_modulus_too_small(self, capsys):
         assert main(["verify", "--params", "3,7"]) == 1

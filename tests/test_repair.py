@@ -6,6 +6,7 @@ import pytest
 
 from hadamard_msr.codec import CodeParams, demo_params, encode, encode_blocks, search_params
 from hadamard_msr.design import sylvester
+from hadamard_msr.field import PrimeField
 from hadamard_msr.repair import (
     STRATEGIES,
     RepairPlan,
@@ -15,6 +16,7 @@ from hadamard_msr.repair import (
     parity1_repair_matrices,
     parity2_repair_matrices,
     systematic_repair_matrix,
+    verify_params,
     verify_rank_conditions,
 )
 
@@ -554,37 +556,90 @@ class TestPlanCost:
         assert fewer.cost()["cancel"] != first["cancel"]
         assert len(calls) > counted
 
+
+# parameter sets that break a rank condition: the k=2 one fails node 4's
+# recover and its interference from node 2, the k=3 one node 5's interference
+# from node 3
+BROKEN = {
+    "k2": CodeParams(2, 7, (3, 1), (1, 4), check=False),
+    "k3": CodeParams(3, 11, (2, 2, 1), (7, 4, 1), check=False),
+}
+
+
+def rank_stacks(params):
+    """(failed, label, [S; S~ D]) per rank condition, in report order, with
+    the dense stack built here from the plan pieces."""
+    q, out = params.q, []
+    for failed in range(1, params.k + 3):
+        s, s_tilde, _, cancel_nodes, diag_recover, interference, _ = _plan_pieces(params, failed)
+        cases = [("recover", diag_recover)] + [
+            (f"interference from node {l}", interference[l]) for l in cancel_nodes
+        ]
+        for label, diag in cases:
+            out.append((failed, label, np.vstack([s.dense(q), s_tilde.dense(q) * diag % q])))
+    return out
+
+
 class TestRankConditions:
     def test_demo_profiles_pass(self, demo_k2, demo_k3):
         for params, count in ((demo_k2, 8), (demo_k3, 15)):
-            for strategy in STRATEGIES:
-                report = verify_rank_conditions(params, strategy)
-                assert len(report.conditions) == count
-                assert report.ok
-                assert all(c.methods_agree for c in report.conditions)
+            report = verify_rank_conditions(params)
+            assert report.params is params
+            assert len(report.conditions) == count
+            assert report.ok
+            assert all(c.methods_agree for c in report.conditions)
+            assert all(c.elim_rank == c.expected_rank for c in report.conditions)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_searched_profiles_pass(self, k, searched_params):
-        report = verify_rank_conditions(searched_params[k], "new")
+        report = verify_rank_conditions(searched_params[k])
         assert report.ok
         assert len(report.conditions) == k * (k + 2)
+        assert all(c.methods_agree for c in report.conditions)
 
     def test_invalid_coefficients_fail_at_second_parity(self):
-        # under "original" elimination runs on the Sylvester-basis stacks,
-        # which must find the same defect
-        broken = CodeParams(2, 7, (3, 1), (1, 4), check=False)
-        reports = [verify_rank_conditions(broken, strategy) for strategy in STRATEGIES]
-        for report in reports:
-            assert not report.ok
-            failed = {(c.failed, c.label) for c in report.failures()}
-            assert (4, "recover") in failed
-            assert any(label.startswith("interference") for _, label in failed)
-            # both ranking methods still agree on the defect
-            assert all(c.methods_agree for c in report.conditions)
-        new, original = ([(c.failed, c.label, c.elim_rank) for c in r.conditions] for r in reports)
-        assert new == original
+        report = verify_rank_conditions(BROKEN["k2"])
+        assert not report.ok
+        assert [(c.failed, c.label, c.pair_ok, c.elim_rank) for c in report.failures()] == [
+            (4, "recover", False, 6),
+            (4, "interference from node 2", False, 8),
+        ]
+        # both ranking methods still agree on the defect
+        assert all(c.methods_agree for c in report.conditions)
+
+    @pytest.mark.parametrize("case", [2, 3, 4, 5, 6, *BROKEN])
+    def test_sylvester_basis_keeps_every_rank(self, case, searched_params):
+        # the "original" strategy's stacks are kron(I_2, H) times these; one
+        # pass covers both strategies only if that factor never moves a rank,
+        # on valid and on broken coefficients alike
+        params = BROKEN[case] if case in BROKEN else params_for(case, searched_params)
+        to_sylvester = np.kron(np.eye(2, dtype=np.int64), sylvester(params.k))
+        report = verify_rank_conditions(params)
+        assert report.ok == (case not in BROKEN)
+        stacks = rank_stacks(params)
+        assert [(c.failed, c.label) for c in report.conditions] == [x[:2] for x in stacks]
+        for c, (_, _, stack) in zip(report.conditions, stacks):
+            sylvester_rank = params.field.rank(to_sylvester @ stack % params.q)
+            assert sylvester_rank == params.field.rank(stack) == c.elim_rank, (c.failed, c.label)
 
     def test_predicted_rank_matches_elimination_everywhere(self, demo_k3):
-        report = verify_rank_conditions(demo_k3, "original")
+        report = verify_rank_conditions(demo_k3)
         for c in report.conditions:
             assert c.predicted_rank == c.elim_rank
+            assert c.expected_rank == (demo_k3.n if c.label == "recover" else demo_k3.n // 2)
+
+    def test_one_elimination_per_condition(self, demo_k2, monkeypatch):
+        count = len(verify_rank_conditions(demo_k2).conditions)
+        assert count == 8
+        calls = []
+        rank = PrimeField.rank
+
+        def spy(self, matrix):
+            calls.append(matrix.shape)
+            return rank(self, matrix)
+
+        monkeypatch.setattr(PrimeField, "rank", spy)
+        ok, lines = verify_params(demo_k2)
+        assert calls == [(demo_k2.n, demo_k2.n)] * count
+        assert ok
+        assert "ok: rank conditions: 8/8 pass" in lines
