@@ -32,6 +32,7 @@ MAGIC = b"HMSR"
 FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.txt"
 DEAD_SUFFIX = ".dead"
+REPAIR_WINDOW = 1024  # chunks per recover call in cmd_repair, bounding its temporaries
 
 # magic, version, k, q, node_id, chunk count
 _HEADER = struct.Struct("<4sBBHHI")
@@ -338,8 +339,12 @@ def cmd_repair(
         stack[:, i] = payload
         shipped[helper] = int(payload.size)
         del payload  # the stack holds a copy; free it before the next download
+    rebuilt = np.empty((chunks, params.n), dtype=np.int64)
+    for lo in range(0, chunks, REPAIR_WINDOW):
+        rebuilt[lo : lo + REPAIR_WINDOW] = run.recover(stack[lo : lo + REPAIR_WINDOW])
+    del stack
     segment = state.segment_path(node)
-    write_segment(segment, params, node, run.recover(stack))
+    write_segment(segment, params, node, rebuilt)
     segment.with_name(segment.name + DEAD_SUFFIX).unlink(missing_ok=True)
     cost = plan.cost()
     return RepairSummary(

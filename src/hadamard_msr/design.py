@@ -68,18 +68,30 @@ def sylvester(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kron_factor(m: int) -> np.ndarray:
-    """Read-only Sylvester matrix of order 2**m, the 1x1 identity for m = 0."""
-    h = sylvester(m) if m else np.ones((1, 1), dtype=np.int64)
-    h.flags.writeable = False
-    return h
+def hadamard_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Kronecker factors (H_(2**a), H_(2**(m-a))), a = m // 2, of
+    the Sylvester matrix of order n = 2**m; a factor of order 1 is [[1]]."""
+    m = n.bit_length() - 1
+    one = np.ones((1, 1), dtype=np.int64)
+    factors = tuple(sylvester(e) if e else one for e in (m // 2, m - m // 2))
+    for h in factors:
+        h.flags.writeable = False
+    return factors
+
+
+def kron_rows(z: np.ndarray, factors: tuple) -> np.ndarray:
+    """kron(h_a, h_b.T) times each int64 row of z (..., n): reshaped to a
+    block Z of h_a's by h_b's order, a row maps to h_a Z h_b.  With the
+    symmetric factors of hadamard_factors(n) that is the Sylvester matrix."""
+    h_a, h_b = factors
+    return (h_a @ z.reshape(*z.shape[:-1], h_a.shape[0], h_b.shape[0]) @ h_b).reshape(z.shape)
 
 
 def fast_hadamard_apply(z, q: int | None = None) -> np.ndarray:
     """Sylvester-Hadamard transform of each row of z, with no Python loop.
 
     Rows run along the last axis.  A row of length n = 2**m is split by
-    H_(2**m) = H_(2**a) kron H_(2**(m-a)), a = m // 2: reshaped to a
+    H_(2**m) = H_(2**a) kron H_(2**(m-a)) (hadamard_factors): reshaped to a
     (2**a, 2**(m-a)) block Z, it maps to H_a Z H_b, two integer matmuls.
     With a modulus the input is reduced first, so every sum stays below
     2**m * q, and the output is reduced once; without one the transform
@@ -89,10 +101,7 @@ def fast_hadamard_apply(z, q: int | None = None) -> np.ndarray:
     n = z.shape[-1] if z.ndim else 0
     if n == 0 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
-    m = n.bit_length() - 1
-    a = m // 2
     if q is not None:
         z = z % q
-    blocks = z.reshape(z.shape[:-1] + (1 << a, n >> a))
-    out = (_kron_factor(a) @ blocks @ _kron_factor(m - a)).reshape(z.shape)
+    out = kron_rows(z, hadamard_factors(n))
     return out % q if q is not None else out

@@ -55,8 +55,8 @@ def bound_formulas(k: int, n: int, node_class: str, strategy: str) -> tuple[int,
     """Closed-form (adds, muls) ceilings per node class and strategy.
 
     New-strategy adds are exact at (3k+1)N/2; everything else is an upper
-    bound.  The Sylvester-basis formulas grow with N^2 because cancellation
-    and recovery go through dense matrices there.
+    bound.  The Sylvester-basis formulas grow with N^2 because the published
+    cancellation and recovery they count are dense matrix products.
     """
     if node_class not in NODE_CLASSES:
         raise ValueError(f"unknown node class {node_class!r}")

@@ -12,11 +12,11 @@ Two strategies compute the same functionals from the same plan: a plan's
 fields are its standard-basis form under either strategy, and only
 `strategy` tells them apart.  The "new" one keeps payloads in the standard
 basis, where every repair-matrix row has two +-1 entries; the "original"
-one re-expresses them in the Sylvester-Hadamard basis: each download is the
-standard payload followed by one fast transform, and cancellation and
-recovery turn dense (RepairPlan.sylvester_tables, a change of basis of the
-plan).  RepairPlan.cost() derives what that difference costs per phase from
-the plan's constants alone, and it is the only source of counts.
+one ships them in the Sylvester-Hadamard basis: each download is the
+standard payload followed by one fast transform.  On paper its cancellation
+and recovery turn dense (RepairPlan.sylvester_tables, a change of basis of
+the plan), and RepairPlan.cost() counts that published schedule per phase
+from the plan's constants alone; it is the only source of counts.
 
 Execution is uncounted and runs tables compiled once per plan
 (RepairPlan.compiled) on rows of shape (..., N), one per chunk, through two
@@ -25,9 +25,9 @@ through RepairPlan.helper_payload (what the cluster's helpers run on their
 stored segments), or all k+1 helpers' rows of codewords at once.
 CompiledRepair.recover is the repairer's side, over the payloads stacked
 (..., k+1, N/2) in combine order, whether execute_repair downloaded them
-or the cluster's helpers shipped them.  In the standard basis it is one
-pair-sparse product that cancels and recovers at once; the Sylvester basis
-keeps its dense cancel and recover as two products.
+or the cluster's helpers shipped them: one pair-sparse product that cancels
+and recovers at once, after one inverse transform under "original", whose
+basis lives only on the wire; no table there has over (k+1) N entries.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .codec import (
     encode,
     inverse_coding_matrix,
 )
-from .design import fast_hadamard_apply, lemma2_partner
+from .design import fast_hadamard_apply, hadamard_factors, kron_rows, lemma2_partner
 
 STRATEGIES = ("new", "original")
 
@@ -111,15 +111,15 @@ class CompiledRepair:
     each helper's premultiply and second sign folded into `scale_first` and
     `scale_second` (None where all ones).
 
-    In the standard basis, the one with `pair_weights`, cancel and recover
-    fold into one pair-sparse map over the payloads P (..., k+1, N/2):
-    payload position m feeds only the outputs first[m] and second[m], so
-    both are pair_weights[m] @ P[..., :, m], every partial sum below (k+1)
-    q^2, and `unpair` puts the pairs back in column order.  In the Sylvester
-    basis that fold would be a dense (k+1) N/2 x N table whose build costs
-    (k-1) N (N/2)^2 multiply-adds per plan, so the dense cancel (`cancel_t`,
-    the transposed H B_l H^-1) and recover (`recover_t`) stay two products,
-    each over all chunks at once.
+    Cancel and recover fold into one pair-sparse map over standard-basis
+    payloads P (..., k+1, N/2): payload position m feeds only the outputs
+    first[m] and second[m], so both are pair_weights[m] @ P[..., :, m], and
+    `unpair` puts the pairs back in column order.  In the Sylvester basis
+    `hadamard` holds the Kronecker factors of H, the Sylvester matrix of
+    order N/2 (None in the standard basis): the download ends in H, and
+    recover starts with it, since H^-1 = H / (N/2) and the 1/(N/2) is folded
+    into `pair_weights`.  Every partial sum stays below (k+1) (N/2) q^2, and
+    no table has more than (k+1) N entries.
     """
 
     q: int
@@ -129,16 +129,14 @@ class CompiledRepair:
     second: np.ndarray
     scale_first: np.ndarray | None
     scale_second: np.ndarray | None
-    pair_weights: np.ndarray | None
-    unpair: np.ndarray | None
-    cancel_sign: int
-    cancel_t: tuple
-    recover_t: np.ndarray | None
+    pair_weights: np.ndarray
+    unpair: np.ndarray
+    hadamard: tuple | None
 
     def download(self, x, helper=None) -> np.ndarray:
         """The one download kernel: x[..., first] * scale_first +
-        x[..., second] * scale_second mod q, then in the Sylvester basis one
-        fast transform of every payload row.
+        x[..., second] * scale_second mod q, then in the Sylvester basis H
+        times every payload row, mod q.
 
         With `helper` None, x holds codewords (..., k+2, N) and the result is
         every helper's payload, stacked in combine order (..., k+1, N/2).
@@ -168,9 +166,9 @@ class CompiledRepair:
         a += b
         del b
         a = np.remainder(a, self.q, out=a if a.flags.c_contiguous else None, order="C")
-        if self.pair_weights is not None:
+        if self.hadamard is None:
             return a
-        out = fast_hadamard_apply(a)
+        out = kron_rows(a, self.hadamard)
         return np.remainder(out, self.q, out=out)
 
     def recover(self, payloads: np.ndarray) -> np.ndarray:
@@ -178,22 +176,11 @@ class CompiledRepair:
         node's symbols (..., N) from stacked int64 payloads (..., k+1, N/2) in
         combine order, which it never writes into."""
         lead, half = payloads.shape[:-2], payloads.shape[-1]
-        if self.pair_weights is not None:
-            pairs = np.matmul(self.pair_weights, payloads.swapaxes(-1, -2)[..., None])
-            pairs %= self.q
-            return np.take(pairs.reshape(*lead, 2 * half), self.unpair, axis=-1)
-        # cancel into the two halves u1, u2 of one fresh buffer
-        combine = np.add if self.cancel_sign > 0 else np.subtract
-        u = np.array(payloads[..., :2, :]).reshape(*lead, 2 * half)
-        u1, u2 = u[..., :half], u[..., half:]
-        for i, b_t in enumerate(self.cancel_t, start=2):
-            p = payloads[..., i, :]
-            combine(u1, p, out=u1)
-            combine(u2, p @ b_t, out=u2)
-        u %= self.q
-        out = u @ self.recover_t
-        out %= self.q
-        return out
+        if self.hadamard is not None:
+            payloads = kron_rows(payloads, self.hadamard)
+        pairs = np.matmul(self.pair_weights, payloads.swapaxes(-1, -2)[..., None])
+        pairs %= self.q
+        return np.take(pairs.reshape(*lead, 2 * half), self.unpair, axis=-1)
 
 
 def _compile(plan: RepairPlan) -> CompiledRepair:
@@ -215,23 +202,19 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
         scale_first = pre[:, m.first]
         scale_second = signs * pre[:, m.second]
 
-    # u1 = P_seed1 + c P_l and u2 = P_seed2 + c B_l P_l over the cancel nodes l
-    c = plan.cancel_sign
-    pair_weights = unpair = recover_t = None
-    cancel_t = ()
-    if plan.strategy == "new":
-        # out[first] = w11 u1 + w12 u2 and out[second] = w21 u1 + w22 u2, so
-        # cancel node l's payload carries c (w_t1 + w_t2 B_l) in slot t
-        r = plan.recover_blocks
-        b = np.array([plan.cancel_diagonals[l] for l in plan.cancel_nodes]).T[:, None, :]
-        pair_weights = np.concatenate([r, c * (r[..., :1] + r[..., 1:] * b)], axis=-1) % q
-        unpair = np.empty(n, dtype=np.intp)
-        unpair[m.first] = np.arange(0, n, 2)
-        unpair[m.second] = np.arange(1, n, 2)
-    else:
-        cancel, recover = plan.sylvester_tables
-        cancel_t = tuple(cancel[l].T for l in plan.cancel_nodes)
-        recover_t = recover.T
+    # u1 = P_seed1 + c P_l and u2 = P_seed2 + c B_l P_l over the cancel nodes
+    # l, out[first] = w11 u1 + w12 u2 and out[second] = w21 u1 + w22 u2, so
+    # cancel node l's payload carries c (w_t1 + w_t2 B_l) in slot t
+    c, r = plan.cancel_sign, plan.recover_blocks
+    b = np.array([plan.cancel_diagonals[l] for l in plan.cancel_nodes]).T[:, None, :]
+    pair_weights = np.concatenate([r, c * (r[..., :1] + r[..., 1:] * b)], axis=-1) % q
+    hadamard = None
+    if plan.strategy == "original":
+        hadamard = hadamard_factors(n // 2)
+        pair_weights = pair_weights * plan.params.field.inv(n // 2) % q
+    unpair = np.empty(n, dtype=np.intp)
+    unpair[m.first] = np.arange(0, n, 2)
+    unpair[m.second] = np.arange(1, n, 2)
     return CompiledRepair(
         q=q,
         order=order,
@@ -242,9 +225,7 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
         scale_second=scale_second,
         pair_weights=pair_weights,
         unpair=unpair,
-        cancel_sign=c,
-        cancel_t=cancel_t,
-        recover_t=recover_t,
+        hadamard=hadamard,
     )
 
 
@@ -260,9 +241,9 @@ class RepairPlan:
     diagonal.  Cancel node l's payload reaches u2 through the diagonal
     `cancel_diagonals[l]`, and `recover_blocks[m]` is the 2x2 inverse taking
     (u1[m], u2[m]) to the failed node's symbols at the pair of columns of
-    row m.  `compiled`, its execution tables, `sylvester_tables` and the
-    counts behind cost() are derived from the fields on first use and kept
-    on the instance; a plan made with dataclasses.replace derives its own.
+    row m.  `compiled`, its execution tables, `sylvester_tables` (counted by
+    cost(), never executed) and cost()'s counts are derived from the fields
+    on first use and kept; a plan made with dataclasses.replace derives its own.
     """
 
     params: CodeParams
@@ -309,7 +290,9 @@ class RepairPlan:
     def sylvester_tables(self) -> tuple[dict, np.ndarray]:
         """The Sylvester basis's dense cancel matrix per cancel node and its
         dense recover map, derived from the standard plan by the change of
-        basis.
+        basis.  They are the published "original" schedule that cost()
+        counts; execution never reads them (CompiledRepair inverts the
+        transform instead), so a plan that only repairs never builds them.
 
         Sylvester payloads are H times the standard ones, with H the Sylvester
         matrix of order N/2 and H^-1 = H / (N/2), so each cancel diagonal B
@@ -356,7 +339,9 @@ class RepairPlan:
             return int(np.maximum(nnz - 1, 0).sum()), muls(matrix)
 
         # each cancel node folds into u1 and u2: two length-N/2 sums, plus
-        # its diagonal or dense matrix
+        # its diagonal or dense matrix; under "original" the dense cancel and
+        # recover tables are the published schedule, a cost model like the
+        # download's count rather than a trace of the executor
         if self.strategy == "original":
             tables, recover_table = self.sylvester_tables
             cancel = [dense(tables[l]) for l in self.cancel_nodes]

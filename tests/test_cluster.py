@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hadamard_msr import metering
+from hadamard_msr import cluster, metering
 from hadamard_msr.cluster import (
     ClusterState,
     IntegrityError,
@@ -21,7 +21,7 @@ from hadamard_msr.cluster import (
     write_segment,
 )
 from hadamard_msr.codec import bits_per_symbol, demo_params
-from hadamard_msr.repair import verify_params
+from hadamard_msr.repair import CompiledRepair, verify_params
 
 
 @pytest.fixture
@@ -411,6 +411,47 @@ class TestRepair:
             assert segment.read_bytes() == before
             assert not tombstone(state, node).exists()
             assert cmd_decode(state.root) == b""
+
+    def test_k8_original_restores_identical_segments(self, tmp_path):
+        # k=8, q=19: N = 512 and 2,048 input bytes per chunk, so 3 chunks
+        src = tmp_path / "input.bin"
+        src.write_bytes(bytes(np.random.default_rng(8).integers(0, 256, 5000, dtype=np.uint8)))
+        state = cmd_encode(src, tmp_path / "cluster", k=8)
+        assert (state.params.n, state.manifest.chunk_count) == (512, 3)
+        for node in range(1, 11):
+            before = node_digest(state, node)
+            cmd_kill(state.root, node)
+            cmd_repair(state.root, node, strategy="original")
+            assert node_digest(state, node) == before, node
+
+    @pytest.mark.parametrize("strategy", ["new", "original"])
+    @pytest.mark.parametrize("chunks", [4, 7, 24])
+    def test_repair_window_edges(self, tmp_path, monkeypatch, chunks, strategy):
+        # windows of 7 chunks: one short window, one exact window, and three
+        # full windows plus a remainder of 3
+        monkeypatch.setattr(cluster, "REPAIR_WINDOW", 7)
+        calls = []
+        recover = CompiledRepair.recover
+
+        def spy(self, payloads):
+            calls.append(payloads.shape[0])
+            return recover(self, payloads)
+
+        monkeypatch.setattr(CompiledRepair, "recover", spy)
+        params = demo_params(3)
+        src = tmp_path / "input.bin"
+        size = chunks * params.chunk_bytes - 1
+        src.write_bytes(bytes(np.random.default_rng(chunks).integers(0, 256, size, dtype=np.uint8)))
+        state = cmd_encode(src, tmp_path / "cluster", k=3, demo=True)
+        assert state.manifest.chunk_count == chunks
+        for node in range(1, 6):
+            before = node_digest(state, node)
+            cmd_kill(state.root, node)
+            calls.clear()
+            cmd_repair(state.root, node, strategy=strategy)
+            assert calls == [7] * (chunks // 7) + [chunks % 7] * (chunks % 7 > 0), node
+            assert node_digest(state, node) == before, node
+        assert cmd_decode(state.root) == src.read_bytes()
 
     def test_op_totals_scale_with_chunks(self, tmp_path, payload):
         state, _ = make_cluster(tmp_path, payload)

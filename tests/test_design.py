@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from hadamard_msr.design import (
     fast_hadamard_apply,
+    hadamard_factors,
     lemma1_relation,
     lemma2_partner,
     sign_vector,
@@ -158,6 +159,16 @@ class TestFastTransform:
         fast_hadamard_apply(z, q=5)
         fast_hadamard_apply(z)
         assert np.array_equal(z, before)
+
+    @pytest.mark.parametrize("k", range(0, 11))
+    def test_factors_split_the_sylvester_matrix(self, k):
+        # one cached, read-only split per length, at most 2^ceil(k/2) square
+        h_a, h_b = hadamard_factors(1 << k)
+        dense = sylvester(k) if k else np.ones((1, 1), dtype=np.int64)
+        assert np.array_equal(np.kron(h_a, h_b), dense)
+        assert (h_a.shape[0], h_b.shape[0]) == (1 << k // 2, 1 << (k - k // 2))
+        assert not (h_a.flags.writeable or h_b.flags.writeable)
+        assert all(a is b for a, b in zip(hadamard_factors(1 << k), (h_a, h_b)))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):

@@ -89,9 +89,12 @@ def test_decode_peak_two_dead_nodes(data, tmp_path, dead):
 
 
 # Per input byte at q=257 (48 input bytes per chunk): the int64 payload
-# stack (256 bytes per chunk, 5.3), the pair products and their unpaired
-# copy (2 x 128, 5.3), or under original the cancel buffer and the recover
-# product in their place.
+# stack (256 bytes per chunk, 5.3) plus, at the peak, the last helper's
+# download in flight (its payload is 1.3; 3.7 under new and 4.7 under
+# original, see test_helper_download_peak).  Recover then runs over windows
+# of chunks into one int64 output (128 bytes per chunk, 2.7), so the stack,
+# the output and one window's transform and pair products are live; the
+# stack is freed before the segment is written.
 @pytest.mark.parametrize("strategy", ["new", "original"])
 def test_repair_peak(data, tmp_path, strategy):
     src = tmp_path / "input.bin"

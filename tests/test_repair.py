@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hadamard_msr.codec import CodeParams, demo_params, encode, encode_blocks, search_params
-from hadamard_msr.design import sylvester
+from hadamard_msr.design import fast_hadamard_apply, sylvester
 from hadamard_msr.field import PrimeField
 from hadamard_msr.repair import (
     STRATEGIES,
@@ -413,19 +413,22 @@ def cancel_map(half, sign, blocks):
 def fused_map(plan):
     """The compiled cancel-and-recover map as a dense (N, (k+1) N/2) matrix
     over the stacked payloads: output j reads payload position m of every
-    helper with the weights of pair m, slot t, where unpair[j] = 2 m + t; or
-    the Sylvester recover times cancel."""
+    helper with the weights of pair m, slot t, where unpair[j] = 2 m + t;
+    under "original" that pair map runs after H on every payload, so it is
+    the pair map times blockdiag(H, ..., H), with H rebuilt from the
+    compiled Kronecker factors."""
     run, q, n = plan.compiled, plan.params.q, plan.params.n
     half = n // 2
-    if run.pair_weights is None:
-        cancel = cancel_map(half, run.cancel_sign, [b.T for b in run.cancel_t])
-        return run.recover_t.T @ cancel % q
     assert sorted(run.unpair) == list(range(n))
     m, t = np.divmod(run.unpair, 2)
     out = np.zeros((n, len(run.order) * half), dtype=np.int64)
     for i in range(len(run.order)):
         out[np.arange(n), i * half + m] = run.pair_weights[m, t, i]
-    return out
+    if run.hadamard is None:
+        return out
+    h = np.kron(*run.hadamard)
+    assert np.array_equal(h, sylvester(half.bit_length() - 1))
+    return out @ np.kron(np.eye(len(run.order), dtype=np.int64), h) % q
 
 
 def reference_map(plan):
@@ -476,6 +479,57 @@ class TestCompiledMaps:
         assert np.array_equal(fused_map(flipped), reference_map(flipped))
         word = encode(params, rng.integers(0, q, size=(3, params.n)))
         assert np.array_equal(execute_repair(replace(plan), word), word[0])
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_sylvester_only_on_the_wire(self, k, searched_params, rng):
+        # an original helper still ships H times the standard payload mod q,
+        # and both strategies rebuild the failed row, which they never read
+        params = params_for(k, searched_params) if k <= 6 else search_params(k)
+        q, n = params.q, params.n
+        one = encode(params, rng.integers(0, q, size=(k, n)))
+        batch = encode_blocks(params, rng.integers(0, q, size=(64, k, n)))
+        for node in range(1, k + 3):
+            new = build_repair_plan(params, node, "new")
+            original = build_repair_plan(params, node, "original")
+            for helper in new.helper_matrices:
+                rows = batch[:, helper - 1].astype("<u2")
+                shipped = original.helper_payload(helper, rows)
+                assert np.array_equal(shipped, fast_hadamard_apply(new.helper_payload(helper, rows), q))
+            for plan in (new, original):
+                for word in (one, batch):
+                    wiped = word.copy()
+                    wiped[..., node - 1, :] = 0
+                    repaired = execute_repair(plan, wiped)
+                    assert np.array_equal(repaired, word[..., node - 1, :]), (node, plan.strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_execution_holds_no_square_table(self, strategy, rng):
+        # at k=8 an N x N table has 512^2 entries; a fresh plan that only
+        # repairs never derives the dense Sylvester tables
+        params = search_params(8)
+        k, n = params.k, params.n
+        word = encode(params, rng.integers(0, params.q, size=(k, n)))
+        for node in range(1, k + 3):
+            plan = replace(build_repair_plan(params, node, strategy))
+            assert np.array_equal(execute_repair(plan, word), word[node - 1])
+            sizes = [a.size for a in arrays_in(plan.compiled)]
+            assert len(sizes) >= 5 and max(sizes) <= (k + 1) * n, (node, max(sizes))
+            assert "sylvester_tables" not in vars(plan)
+
+
+def arrays_in(value):
+    """Every array reachable through dataclass fields, tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from arrays_in(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from arrays_in(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from arrays_in(v)
 
 
 def costly(consts, q):
