@@ -336,6 +336,12 @@ def cmd_repair(
         payload = np.asarray(payload_reader(state, plan, helper))
         if payload.shape != shape:
             raise IntegrityError(f"helper {helper} shipped {payload.shape}, expected {shape}")
+        # the stack would truncate floats and wrap symbols outside the field
+        # into a wrong but well-formed segment
+        if payload.dtype.kind not in "iu":
+            raise IntegrityError(f"helper {helper} shipped {payload.dtype} symbols, not integers")
+        if payload.size and (payload.min() < 0 or payload.max() >= params.q):
+            raise IntegrityError(f"helper {helper} shipped symbols outside F_{params.q}")
         stack[:, i] = payload
         shipped[helper] = int(payload.size)
         del payload  # the stack holds a copy; free it before the next download

@@ -22,12 +22,16 @@ Execution is uncounted and runs tables compiled once per plan
 (RepairPlan.compiled) on rows of shape (..., N), one per chunk, through two
 kernels.  CompiledRepair.download is the helper's side: one helper's rows
 through RepairPlan.helper_payload (what the cluster's helpers run on their
-stored segments), or all k+1 helpers' rows of codewords at once.
-CompiledRepair.recover is the repairer's side, over the payloads stacked
-(..., k+1, N/2) in combine order, whether execute_repair downloaded them
-or the cluster's helpers shipped them: one pair-sparse product that cancels
-and recovers at once, after one inverse transform under "original", whose
-basis lives only on the wire; no table there has over (k+1) N entries.
+stored segments), or all k+1 helpers' rows of codewords at once, as one
+take of a flat gather table, one entrywise product with a scale table and
+one sum of the two gathered halves.  CompiledRepair.recover is the
+repairer's side, over the payloads stacked (..., k+1, N/2) in combine
+order, whether execute_repair downloaded them or the cluster's helpers
+shipped them: one pair-sparse product that cancels and recovers at once,
+after one inverse transform under "original", whose basis lives only on the
+wire; no table there has over (k+1) N entries.  The API repairs one small
+codeword per call, so both kernels use ndarray methods and in-place
+operators, which skip the dispatch layer of the np.* wrappers.
 """
 
 from __future__ import annotations
@@ -105,11 +109,14 @@ def parity2_repair_matrices(k: int) -> tuple[RepairMatrix, RepairMatrix]:
 class CompiledRepair:
     """A plan's execution tables, derived once from the plan's fields.
 
-    The helpers are the seeds followed by the cancel nodes (combine order);
-    `rows` holds their codeword rows.  All of them pair the same columns
-    `first`/`second`, so the k+1 downloads are one stacked signed sum, with
-    each helper's premultiply and second sign folded into `scale_first` and
-    `scale_second` (None where all ones).
+    The helpers are the seeds followed by the cancel nodes (combine order),
+    and all of them pair the same columns `first`/`second`, so the k+1
+    downloads are one stacked signed sum.  `gather` (2, k+1, N/2) indexes a
+    codeword flattened to (k+2) N symbols: entry [t, i, m] is helper
+    order[i]'s symbol at column (first, second)[t][m], so one take gathers
+    every helper's two halves.  `scale` (2, k+1, N/2) multiplies them
+    entrywise, folding in each helper's premultiply and second sign (None
+    where all ones).
 
     Cancel and recover fold into one pair-sparse map over standard-basis
     payloads P (..., k+1, N/2): payload position m feeds only the outputs
@@ -120,56 +127,65 @@ class CompiledRepair:
     recover starts with it, since H^-1 = H / (N/2) and the 1/(N/2) is folded
     into `pair_weights`.  Every partial sum stays below (k+1) (N/2) q^2, and
     no table has more than (k+1) N entries.
+
+    Both kernels are called once per repaired codeword on the API path, so
+    they are written as a few whole-array steps through ndarray methods and
+    in-place operators (`@`, `.take`, `*=`, `%=`); the np.* wrappers cost
+    a dispatch layer per step that is most of a small call's time.
     """
 
     q: int
     order: tuple
-    rows: np.ndarray
+    gather: np.ndarray
+    scale: np.ndarray | None
     first: np.ndarray
     second: np.ndarray
-    scale_first: np.ndarray | None
-    scale_second: np.ndarray | None
     pair_weights: np.ndarray
     unpair: np.ndarray
     hadamard: tuple | None
 
     def download(self, x, helper=None) -> np.ndarray:
-        """The one download kernel: x[..., first] * scale_first +
-        x[..., second] * scale_second mod q, then in the Sylvester basis H
-        times every payload row, mod q.
+        """The one download kernel: x at `first` times scale[0] plus x at
+        `second` times scale[1] mod q, then in the Sylvester basis H times
+        every payload row, mod q.
 
         With `helper` None, x holds codewords (..., k+2, N) and the result is
         every helper's payload, stacked in combine order (..., k+1, N/2).
         With `helper` an index into the combine order, x holds that helper's
         rows (..., N) and the result is its payload (..., N/2).  Only the
-        gathered halves are widened to int64, so x may stay in its stored
+        gathered symbols are widened to int64, so x may stay in its stored
         dtype.
         """
-        scale_first, scale_second = (
-            s if s is None or helper is None else s[helper]
-            for s in (self.scale_first, self.scale_second)
-        )
-        # take gathers plain rows in C order, where x[..., first] comes out
-        # column-major; C order lets the sum reduce in place and spares the
-        # transform's reshape a copy.  Widening the first half before
-        # gathering the second keeps one narrow half alive.
-        a = x[..., self.rows, self.first] if helper is None else np.take(x, self.first, axis=-1)
-        if a.dtype != np.int64:
-            a = a.astype(np.int64)
-        b = x[..., self.rows, self.second] if helper is None else np.take(x, self.second, axis=-1)
-        if b.dtype != np.int64:
-            b = b.astype(np.int64)
-        if scale_first is not None:
-            a *= scale_first
-        if scale_second is not None:
-            b *= scale_second
-        a += b
-        del b
-        a = np.remainder(a, self.q, out=a if a.flags.c_contiguous else None, order="C")
+        if helper is None:
+            # the width is named: reshape(..., -1) cannot size zero chunks
+            flat = x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
+            both = flat.take(self.gather, axis=-1)
+            if both.dtype != np.int64:
+                both = both.astype(np.int64)
+            if self.scale is not None:
+                both *= self.scale
+            a = both[..., 0, :, :]
+            a += both[..., 1, :, :]
+        else:
+            # one half at a time: widening the first before gathering the
+            # second keeps a single narrow half alive on stored segments
+            a = x.take(self.first, axis=-1)
+            if a.dtype != np.int64:
+                a = a.astype(np.int64)
+            b = x.take(self.second, axis=-1)
+            if b.dtype != np.int64:
+                b = b.astype(np.int64)
+            if self.scale is not None:
+                a *= self.scale[0, helper]
+                b *= self.scale[1, helper]
+            a += b
+            del b
+        a %= self.q
         if self.hadamard is None:
             return a
         out = kron_rows(a, self.hadamard)
-        return np.remainder(out, self.q, out=out)
+        out %= self.q
+        return out
 
     def recover(self, payloads: np.ndarray) -> np.ndarray:
         """The one recover kernel: cancel interference and recover the failed
@@ -178,9 +194,9 @@ class CompiledRepair:
         lead, half = payloads.shape[:-2], payloads.shape[-1]
         if self.hadamard is not None:
             payloads = kron_rows(payloads, self.hadamard)
-        pairs = np.matmul(self.pair_weights, payloads.swapaxes(-1, -2)[..., None])
+        pairs = self.pair_weights @ payloads.swapaxes(-1, -2)[..., None]
         pairs %= self.q
-        return np.take(pairs.reshape(*lead, 2 * half), self.unpair, axis=-1)
+        return pairs.reshape(*lead, 2 * half).take(self.unpair, axis=-1)
 
 
 def _compile(plan: RepairPlan) -> CompiledRepair:
@@ -193,14 +209,16 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
     for other in matrices:
         if not (np.array_equal(other.first, m.first) and np.array_equal(other.second, m.second)):
             raise ValueError("every helper must pair the same columns")
-    signs = [[other.second_sign] for other in matrices]
-    scale_first = None
-    scale_second = None if signs == [[1]] * len(order) else np.array(signs)
-    if plan.premultiply:
-        ones = np.ones(n, dtype=np.int64)
-        pre = np.array([plan.premultiply.get(node, ones) for node in order])
-        scale_first = pre[:, m.first]
-        scale_second = signs * pre[:, m.second]
+    # gather reads a codeword flattened to (k+2) N symbols; the same indices
+    # read each helper's premultiply from the rows of one such table
+    offsets = np.array([(node - 1) * n for node in order])[:, None]
+    gather = offsets + np.stack([m.first, m.second])[:, None, :]
+    ones = np.ones(n, dtype=np.int64)
+    pre = np.array([plan.premultiply.get(node, ones) for node in range(1, plan.params.k + 3)])
+    signs = np.array([[1] * len(order), [other.second_sign for other in matrices]])
+    scale = pre.ravel()[gather] * signs[..., None]
+    if (scale == 1).all():
+        scale = None
 
     # u1 = P_seed1 + c P_l and u2 = P_seed2 + c B_l P_l over the cancel nodes
     # l, out[first] = w11 u1 + w12 u2 and out[second] = w21 u1 + w22 u2, so
@@ -218,11 +236,10 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
     return CompiledRepair(
         q=q,
         order=order,
-        rows=np.array([[node - 1] for node in order]),
+        gather=gather,
+        scale=scale,
         first=m.first,
         second=m.second,
-        scale_first=scale_first,
-        scale_second=scale_second,
         pair_weights=pair_weights,
         unpair=unpair,
         hadamard=hadamard,

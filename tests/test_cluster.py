@@ -396,6 +396,39 @@ class TestRepair:
         assert cmd_decode(state.root) == payload[1]
 
     @pytest.mark.parametrize("strategy", ["new", "original"])
+    def test_out_of_field_payload_rejected(self, tmp_path, payload, strategy):
+        # a well-shaped payload with a symbol outside F_q, or not of an
+        # integer dtype, must not reach the stack: it would be wrapped or
+        # truncated into a wrong segment
+        path, data = payload
+        state = cmd_encode(path, tmp_path / "cluster", k=3, q=257)
+        before = node_digest(state, 2)
+        cmd_kill(state.root, 2)
+        for helper in (1, 3, 4, 5):
+            for symbol, dtype, label in (
+                (300, np.int64, "symbols outside F_257"),
+                (-1, np.int64, "symbols outside F_257"),
+                (None, np.float64, "float64 symbols"),
+            ):
+
+                def reader(state_, plan, helper_, symbol=symbol, dtype=dtype):
+                    out = read_repair_payload(state_, plan, helper_)
+                    if helper_ != helper:
+                        return out
+                    bad = out.astype(dtype)
+                    if symbol is not None:
+                        bad[0, 0] = symbol
+                    return bad
+
+                with pytest.raises(IntegrityError, match=f"helper {helper} shipped {label}"):
+                    cmd_repair(state.root, 2, strategy=strategy, payload_reader=reader)
+                assert not state.segment_path(2).exists()
+                assert tombstone(state, 2).is_file()
+        cmd_repair(state.root, 2, strategy=strategy)
+        assert node_digest(state, 2) == before
+        assert cmd_decode(state.root) == data
+
+    @pytest.mark.parametrize("strategy", ["new", "original"])
     @pytest.mark.parametrize("k", [2, 3])
     def test_empty_cluster_repair(self, tmp_path, k, strategy):
         # kill refuses an empty cluster, so the segment is tombstoned by hand
