@@ -14,9 +14,10 @@ fields are its standard-basis form under either strategy, and only
 basis, where every repair-matrix row has two +-1 entries; the "original"
 one ships them in the Sylvester-Hadamard basis: each download is the
 standard payload followed by one fast transform.  On paper its cancellation
-and recovery turn dense (RepairPlan.sylvester_tables, a change of basis of
-the plan), and RepairPlan.cost() counts that published schedule per phase
-from the plan's constants alone; it is the only source of counts.
+and recovery turn dense (the plan's diagonals and blocks taken through the
+change of basis), and RepairPlan.cost() counts that published schedule per
+phase in closed form from the plan's constants alone, building no N x N
+table; it is the only source of counts.
 
 Execution is uncounted and runs tables compiled once per plan
 (RepairPlan.compiled) on rows of shape (..., N), one per chunk, through two
@@ -258,9 +259,10 @@ class RepairPlan:
     diagonal.  Cancel node l's payload reaches u2 through the diagonal
     `cancel_diagonals[l]`, and `recover_blocks[m]` is the 2x2 inverse taking
     (u1[m], u2[m]) to the failed node's symbols at the pair of columns of
-    row m.  `compiled`, its execution tables, `sylvester_tables` (counted by
-    cost(), never executed) and cost()'s counts are derived from the fields
-    on first use and kept; a plan made with dataclasses.replace derives its own.
+    row m.  `compiled`, its execution tables, and cost()'s counts are derived
+    from the fields on first use and kept; a plan made with
+    dataclasses.replace derives its own.  No array a plan holds, derived or
+    not, has more than (k+1) N entries.
     """
 
     params: CodeParams
@@ -292,43 +294,6 @@ class RepairPlan:
             raise ValueError(f"rows must have shape (..., {self.params.n})")
         return self.compiled.download(x, helper=self.compiled.order.index(node))
 
-    def recover_dense(self) -> np.ndarray:
-        """The standard-basis recover map R, N x N from [u1; u2] to the
-        failed node's symbols: row first[m] and row second[m] hold the block
-        recover_blocks[m] in columns m and N/2 + m."""
-        s = self.helper_matrices[self.seeds[0]]
-        m = np.arange(s.rows)
-        rows = np.stack([s.first, s.second], -1)[:, :, None]
-        out = np.zeros((2 * s.rows, 2 * s.rows), dtype=np.int64)
-        out[rows, np.stack([m, m + s.rows], -1)[:, None, :]] = self.recover_blocks
-        return out
-
-    @cached_property
-    def sylvester_tables(self) -> tuple[dict, np.ndarray]:
-        """The Sylvester basis's dense cancel matrix per cancel node and its
-        dense recover map, derived from the standard plan by the change of
-        basis.  They are the published "original" schedule that cost()
-        counts; execution never reads them (CompiledRepair inverts the
-        transform instead), so a plan that only repairs never builds them.
-
-        Sylvester payloads are H times the standard ones, with H the Sylvester
-        matrix of order N/2 and H^-1 = H / (N/2), so each cancel diagonal B
-        becomes H B H^-1 and the recover map R becomes R blockdiag(H^-1, H^-1).
-        """
-        q, n = self.params.q, self.params.n
-        half = n // 2
-        half_inv = self.params.field.inv(half)
-        # H[r, m] H[m, c] = H[r ^ c, m], so (H B H^-1)[r, c] = (H b)[r ^ c] / (N/2)
-        xor = np.bitwise_xor.outer(np.arange(half), np.arange(half))
-        cancel = {
-            l: fast_hadamard_apply(self.cancel_diagonals[l], q)[xor] * half_inv % q
-            for l in self.cancel_nodes
-        }
-        # R blockdiag(H^-1, H^-1): both halves of every row of R times H / (N/2)
-        halves = self.recover_dense().reshape(n, 2, half)
-        recover = fast_hadamard_apply(halves, q).reshape(n, -1) * half_inv % q
-        return cancel, recover
-
     def cost(self) -> dict:
         """Per-phase (adds, muls) of repairing one chunk, from the plan alone;
         a fresh dict on every call over counts made once per plan."""
@@ -351,18 +316,28 @@ class RepairPlan:
             c = np.asarray(consts) % q
             return c.size - int(np.count_nonzero((c <= 1) | (c == q - 1)))
 
-        def dense(matrix) -> tuple[int, int]:
-            nnz = np.count_nonzero(matrix, axis=1)
-            return int(np.maximum(nnz - 1, 0).sum()), muls(matrix)
-
         # each cancel node folds into u1 and u2: two length-N/2 sums, plus
-        # its diagonal or dense matrix; under "original" the dense cancel and
-        # recover tables are the published schedule, a cost model like the
-        # download's count rather than a trace of the executor
+        # its diagonal or dense matrix; under "original" the Sylvester
+        # basis's dense cancel and recover tables are the published schedule,
+        # a cost model like the download's count rather than a trace of the
+        # executor, and their counts follow in closed form from the plan
         if self.strategy == "original":
-            tables, recover_table = self.sylvester_tables
-            cancel = [dense(tables[l]) for l in self.cancel_nodes]
-            recover = dense(recover_table)
+            half = n // 2
+            half_inv = self.params.field.inv(half)
+            # H[r, m] H[m, c] = H[r ^ c, m], with H the Sylvester matrix of
+            # order N/2, so (H B H^-1)[r, c] = v[r ^ c], v = (H b) / (N/2):
+            # each of the table's N/2 rows is a permutation of v
+            cancel = []
+            for l in self.cancel_nodes:
+                v = fast_hadamard_apply(self.cancel_diagonals[l], q) * half_inv % q
+                cancel.append((half * max(int(np.count_nonzero(v)) - 1, 0), half * muls(v)))
+            # row first[m] (slot t = 0) or second[m] (t = 1) of the recover
+            # map R blockdiag(H^-1, H^-1) is [w[m, t, 0] h_m, w[m, t, 1] h_m],
+            # w = R's blocks / (N/2) and h_m = +-1 row m of H; c is free
+            # exactly when -c is, so the signs drop out
+            w = self.recover_blocks * half_inv % q
+            nnz = half * np.count_nonzero(w, axis=-1)
+            recover = (int(np.maximum(nnz - 1, 0).sum()), half * muls(w))
             # the published schedule of two length-N/2 transforms (k*N/2
             # adds each) plus one signed combine, a cost model rather than a
             # trace of the download
@@ -427,6 +402,10 @@ def _pair_blocks(s: RepairMatrix, s_tilde: RepairMatrix, diag: np.ndarray, q: in
 @lru_cache(maxsize=None)
 def build_repair_plan(params: CodeParams, failed: int, strategy: str) -> RepairPlan:
     """Repair plan for one failed node; plans are cached and immutable.
+
+    The cache keeps every plan asked for, at most 2 (k+2) per parameter set,
+    and what bounds its size is the plan's: no array a plan holds, with its
+    compiled tables and counts, has more than (k+1) N entries.
 
     Both strategies get the same standard-basis fields.  The interference
     diagonals B_l sample the case's difference diagonal at each row's first

@@ -457,6 +457,26 @@ class TestRepair:
             cmd_repair(state.root, node, strategy="original")
             assert node_digest(state, node) == before, node
 
+    def test_k10_round_trip(self, tmp_path):
+        # k=10, q=23: N = 2,048 and 10,240 input bytes per chunk, so 3 chunks;
+        # both strategies restore a systematic node and both parities, and
+        # the data then decodes with two nodes dead
+        src = tmp_path / "input.bin"
+        data = bytes(np.random.default_rng(10).integers(0, 256, 25000, dtype=np.uint8))
+        src.write_bytes(data)
+        state = cmd_encode(src, tmp_path / "cluster", k=10)
+        assert (state.params.q, state.params.n, state.manifest.chunk_count) == (23, 2048, 3)
+        assert state.params.chunk_bytes == 10240
+        for node in (1, 11, 12):
+            before = node_digest(state, node)
+            for strategy in ("new", "original"):
+                cmd_kill(state.root, node)
+                cmd_repair(state.root, node, strategy=strategy)
+                assert node_digest(state, node) == before, (node, strategy)
+        for node in (1, 12):
+            cmd_kill(state.root, node)
+        assert cmd_decode(state.root) == data
+
     @pytest.mark.parametrize("strategy", ["new", "original"])
     @pytest.mark.parametrize("chunks", [4, 7, 24])
     def test_repair_window_edges(self, tmp_path, monkeypatch, chunks, strategy):

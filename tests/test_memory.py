@@ -1,5 +1,5 @@
-"""Peak-allocation gates for packing, encode, decode, repair and helper
-downloads.
+"""Peak-allocation gates for packing, encode, decode, repair, helper
+downloads and cost tables.
 
 tracemalloc sees numpy's array buffers, so a peak here is the extra memory a
 call allocates, measured on 1 MiB of input at k=3 (4 MiB for downloads).
@@ -21,7 +21,8 @@ from hadamard_msr.cluster import (
     cmd_repair,
     read_repair_payload,
 )
-from hadamard_msr.repair import build_repair_plan
+from hadamard_msr.metering import emit_table
+from hadamard_msr.repair import STRATEGIES, build_repair_plan
 
 SIZE = 1 << 20
 
@@ -133,3 +134,16 @@ def test_helper_download_peak(cluster_4mib, strategy, bound):
             payload, peak = peak_of(lambda: read_repair_payload(cluster_4mib, plan, helper))
             assert payload.shape == (87382, plan.params.n // 2)
             assert peak <= bound * payload.nbytes, (node, helper)
+
+
+# At k=10, N = 2,048: one N x N int64 table is 32 MiB, and counting the
+# "original" schedule on the dense Sylvester tables peaked near 1.4 GiB.
+# The closed form holds no array over (k+1) N entries, so all 24 plans'
+# counts, executions and tables fit in less than one such table together
+# (14 MiB measured).
+def test_bench_table_peak_k10():
+    params = codec.search_params(10)
+    build_repair_plan.cache_clear()  # measure fresh plans, not cached ones
+    table, peak = peak_of(lambda: emit_table(params, STRATEGIES))
+    assert len(table.reports) == 2 * 12 and "OVER_BOUND" not in table.text
+    assert peak <= 32 * SIZE, peak / SIZE

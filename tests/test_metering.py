@@ -161,6 +161,74 @@ def test_plan_cost_matches_pinned_counts_k7_k8(key, params_k7_k8):
     assert tuple(cost.values()) == PHASE_COUNTS_K7_K8[key]
 
 
+# The same per-phase counts for search_params(9) and search_params(10), keyed
+# by (k, node, strategy), captured from plan.cost() while it still counted
+# the "original" schedule on the dense Sylvester tables it built, before the
+# closed form replaced them.
+PHASE_COUNTS_K9_K10 = {
+    (9, 1, "new"): ((5120, 0), (8192, 3840), (1024, 2048)),
+    (9, 1, "original"): ((97280, 0), (16384, 7680), (1047552, 1048576)),
+    (9, 2, "new"): ((5120, 0), (8192, 3840), (1024, 2048)),
+    (9, 2, "original"): ((97280, 0), (16384, 7680), (1047552, 1048576)),
+    (9, 3, "new"): ((5120, 0), (8192, 3968), (1024, 1792)),
+    (9, 3, "original"): ((97280, 0), (16384, 7168), (1047552, 1048576)),
+    (9, 4, "new"): ((5120, 0), (8192, 3968), (1024, 1792)),
+    (9, 4, "original"): ((97280, 0), (16384, 7168), (1047552, 1048576)),
+    (9, 5, "new"): ((5120, 0), (8192, 3840), (1024, 2048)),
+    (9, 5, "original"): ((97280, 0), (16384, 7168), (1047552, 917504)),
+    (9, 6, "new"): ((5120, 0), (8192, 3840), (1024, 2048)),
+    (9, 6, "original"): ((97280, 0), (16384, 7168), (1047552, 917504)),
+    (9, 7, "new"): ((5120, 0), (8192, 3840), (1024, 2048)),
+    (9, 7, "original"): ((97280, 0), (16384, 7168), (1047552, 917504)),
+    (9, 8, "new"): ((5120, 0), (8192, 3840), (1024, 2048)),
+    (9, 8, "original"): ((97280, 0), (16384, 7168), (1047552, 917504)),
+    (9, 9, "new"): ((5120, 0), (8192, 3840), (1024, 2048)),
+    (9, 9, "original"): ((97280, 0), (16384, 7168), (1047552, 1048576)),
+    (9, 10, "new"): ((5120, 0), (8192, 3712), (1024, 2048)),
+    (9, 10, "original"): ((97280, 0), (16384, 7168), (1047552, 1048576)),
+    (9, 11, "new"): ((5120, 8704), (8192, 3584), (1024, 1024)),
+    (9, 11, "original"): ((97280, 8704), (20480, 15872), (1047552, 1048576)),
+    (10, 1, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 1, "original"): ((236544, 0), (36864, 17408), (4192256, 2097152)),
+    (10, 2, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 2, "original"): ((236544, 0), (36864, 17408), (4192256, 2097152)),
+    (10, 3, "new"): ((11264, 0), (18432, 8960), (2048, 3584)),
+    (10, 3, "original"): ((236544, 0), (36864, 16384), (4192256, 4194304)),
+    (10, 4, "new"): ((11264, 0), (18432, 8960), (2048, 3584)),
+    (10, 4, "original"): ((236544, 0), (36864, 16384), (4192256, 4194304)),
+    (10, 5, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 5, "original"): ((236544, 0), (36864, 16384), (4192256, 4194304)),
+    (10, 6, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 6, "original"): ((236544, 0), (36864, 16384), (4192256, 4194304)),
+    (10, 7, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 7, "original"): ((236544, 0), (36864, 16384), (4192256, 3670016)),
+    (10, 8, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 8, "original"): ((236544, 0), (36864, 16384), (4192256, 3670016)),
+    (10, 9, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 9, "original"): ((236544, 0), (36864, 16384), (4192256, 4194304)),
+    (10, 10, "new"): ((11264, 0), (18432, 8704), (2048, 4096)),
+    (10, 10, "original"): ((236544, 0), (36864, 16384), (4192256, 4194304)),
+    (10, 11, "new"): ((11264, 0), (18432, 8192), (2048, 4096)),
+    (10, 11, "original"): ((236544, 0), (36864, 16384), (4192256, 2097152)),
+    (10, 12, "new"): ((11264, 19456), (18432, 8192), (2048, 2048)),
+    (10, 12, "original"): ((236544, 19456), (46080, 34816), (4192256, 4194304)),
+}
+
+
+@pytest.fixture(scope="module")
+def params_k9_k10():
+    return {k: search_params(k) for k in (9, 10)}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(PHASE_COUNTS_K9_K10), ids=lambda key: "-".join(map(str, key))
+)
+def test_plan_cost_matches_pinned_counts_k9_k10(key, params_k9_k10):
+    k, node, strategy = key
+    cost = build_repair_plan(params_k9_k10[k], node, strategy).cost()
+    assert tuple(cost.values()) == PHASE_COUNTS_K9_K10[key]
+
+
 @pytest.mark.parametrize("k", [7, 8])
 def test_counts_and_bounds_k7_k8(k, params_k7_k8):
     # measure_repair also runs each repair and checks the rebuilt node

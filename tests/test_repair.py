@@ -377,7 +377,7 @@ class TestPlans:
             plan = build_repair_plan(demo_k2, node, "new")
             s, half = plan.helper_matrices[plan.seeds[0]], demo_k2.n // 2
             assert plan.recover_blocks.shape == (half, 2, 2)
-            dense = plan.recover_dense() % demo_k2.q
+            dense = recover_dense(plan) % demo_k2.q
             assert np.all((dense != 0).sum(axis=1) <= 2)
             for t, rows in enumerate((s.first, s.second)):
                 assert np.array_equal(dense[rows, np.arange(half)], plan.recover_blocks[:, t, 0])
@@ -394,12 +394,48 @@ class TestPlans:
             for node in range(1, k + 3):
                 plan = build_repair_plan(params, node, strategy)
                 s, s_tilde, _, _, diag, _, _ = _plan_pieces(params, node)
-                r = plan.recover_dense() % q
+                r = recover_dense(plan) % q
                 stacked = np.vstack([s.dense(q), s_tilde.dense(q) * diag[None, :] % q])
                 eye = np.eye(params.n, dtype=np.int64)
                 assert np.array_equal(r @ stacked % q, eye), (k, strategy, node)
-                r_syl = plan.sylvester_tables[1]
+                r_syl = sylvester_tables(plan)[1]
                 assert np.array_equal(r_syl @ (to_sylvester @ stacked) % q, eye), (k, strategy, node)
+
+
+def recover_dense(plan):
+    """The standard-basis recover map R, N x N from [u1; u2] to the failed
+    node's symbols: row first[m] and row second[m] hold the block
+    recover_blocks[m] in columns m and N/2 + m."""
+    s = plan.helper_matrices[plan.seeds[0]]
+    m = np.arange(s.rows)
+    rows = np.stack([s.first, s.second], -1)[:, :, None]
+    out = np.zeros((2 * s.rows, 2 * s.rows), dtype=np.int64)
+    out[rows, np.stack([m, m + s.rows], -1)[:, None, :]] = plan.recover_blocks
+    return out
+
+
+def sylvester_tables(plan):
+    """The Sylvester basis's dense cancel matrix per cancel node and its dense
+    recover map, the published "original" schedule that plan.cost() counts in
+    closed form, derived here by the change of basis as its reference.
+
+    Sylvester payloads are H times the standard ones, with H the Sylvester
+    matrix of order N/2 and H^-1 = H / (N/2), so each cancel diagonal B
+    becomes H B H^-1 and the recover map R becomes R blockdiag(H^-1, H^-1).
+    """
+    q, n = plan.params.q, plan.params.n
+    half = n // 2
+    half_inv = plan.params.field.inv(half)
+    # H[r, m] H[m, c] = H[r ^ c, m], so (H B H^-1)[r, c] = (H b)[r ^ c] / (N/2)
+    xor = np.bitwise_xor.outer(np.arange(half), np.arange(half))
+    cancel = {
+        l: fast_hadamard_apply(plan.cancel_diagonals[l], q)[xor] * half_inv % q
+        for l in plan.cancel_nodes
+    }
+    # R blockdiag(H^-1, H^-1): both halves of every row of R times H / (N/2)
+    halves = recover_dense(plan).reshape(n, 2, half)
+    recover = fast_hadamard_apply(halves, q).reshape(n, -1) * half_inv % q
+    return cancel, recover
 
 
 def cancel_map(half, sign, blocks):
@@ -438,9 +474,9 @@ def reference_map(plan):
     half = plan.params.n // 2
     if plan.strategy == "new":
         blocks = [np.diag(plan.cancel_diagonals[l]) for l in plan.cancel_nodes]
-        recover = plan.recover_dense()
+        recover = recover_dense(plan)
     else:
-        tables, recover = plan.sylvester_tables
+        tables, recover = sylvester_tables(plan)
         blocks = [tables[l] for l in plan.cancel_nodes]
     cancel = cancel_map(half, plan.cancel_sign, blocks)
     return recover @ cancel % plan.params.q
@@ -505,8 +541,8 @@ class TestCompiledMaps:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_execution_holds_no_square_table(self, strategy, rng):
-        # at k=8 an N x N table has 512^2 entries; a fresh plan that only
-        # repairs never derives the dense Sylvester tables
+        # at k=8 an N x N table has 512^2 entries; neither repairing nor
+        # counting leaves one in a fresh plan, derived fields included
         params = search_params(8)
         k, n = params.k, params.n
         word = encode(params, rng.integers(0, params.q, size=(k, n)))
@@ -515,7 +551,10 @@ class TestCompiledMaps:
             assert np.array_equal(execute_repair(plan, word), word[node - 1])
             sizes = [a.size for a in arrays_in(plan.compiled)]
             assert len(sizes) >= 5 and max(sizes) <= (k + 1) * n, (node, max(sizes))
-            assert "sylvester_tables" not in vars(plan)
+            plan.cost()
+            assert {"compiled", "_counts"} <= vars(plan).keys()
+            held = [a.size for a in arrays_in(vars(plan))]
+            assert len(held) > len(sizes) and max(held) <= (k + 1) * n, (node, max(held))
 
 
 def arrays_in(value):
@@ -577,7 +616,7 @@ class TestPlanCost:
 
         for node in range(1, 6):
             plan = build_repair_plan(demo_k3, node, "original")
-            tables, recover = plan.sylvester_tables
+            tables, recover = sylvester_tables(plan)
             cancel = [dense(tables[l]) for l in plan.cancel_nodes]
             cost = plan.cost()
             assert cost["cancel"] == (
@@ -586,6 +625,29 @@ class TestPlanCost:
             )
             assert cost["recover"] == dense(recover)
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_closed_form_counts_the_dense_tables(self, k):
+        # cost() counts the Sylvester schedule without building its tables;
+        # the tables built here by the change of basis must count the same
+        profiles = [demo_params(k), search_params(k, 19)] if k <= 3 else [search_params(k)]
+        for params in profiles:
+            q, n = params.q, params.n
+
+            def dense(table):
+                nnz = np.count_nonzero(table, axis=1)
+                charged = ~np.isin(table % q, (0, 1, q - 1))
+                return int(np.maximum(nnz - 1, 0).sum()), int(charged.sum())
+
+            for node in range(1, k + 3):
+                plan = build_repair_plan(params, node, "original")
+                tables, recover = sylvester_tables(plan)
+                cancel = [dense(tables[l]) for l in plan.cancel_nodes]
+                cost = plan.cost()
+                assert cost["cancel"] == (
+                    len(cancel) * n + sum(a for a, _ in cancel),
+                    sum(m for _, m in cancel),
+                ), (q, node)
+                assert cost["recover"] == dense(recover), (q, node)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_counts_once_per_plan(self, strategy, demo_k3, monkeypatch):
