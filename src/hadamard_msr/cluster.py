@@ -239,7 +239,7 @@ def cmd_encode(
 
     data = input_path.read_bytes()
     blocks = codec.chunk_file(data, params)
-    words = codec.encode_blocks(params, blocks)
+    words = codec.with_parities(params, blocks)  # packed symbols are below 2**bits <= q
     manifest = Manifest(params=params, chunk_count=blocks.shape[0], original_length=len(data))
     out_dir.mkdir(parents=True, exist_ok=True)
     state = ClusterState(root=out_dir, manifest=manifest)
@@ -374,9 +374,14 @@ def cmd_decode(root, out_path=None) -> bytes:
             f"only {len(alive)} of {params.k + 2} nodes alive; need at least {params.k}"
         )
     chunks = state.manifest.chunk_count
+    # every segment is read and size-checked before the (chunks, k+2, N) word
+    # exists, since the manifest's chunk count may be tampered
     segments = {n: read_segment(state.segment_path(n), params, n, chunks) for n in alive}
+    words = np.zeros((chunks, params.k + 2, params.n), dtype=np.int64)
+    for n in alive:
+        words[:, n - 1] = segments.pop(n)  # read_segment rejected every symbol >= q
     try:
-        words = codec.decode(params, segments)
+        codec.complete_word(params, words, tuple(alive))
         data = codec.unchunk(words[:, : params.k], state.manifest.original_length, params)
     except ValueError as exc:
         raise IntegrityError(str(exc)) from None

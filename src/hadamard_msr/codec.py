@@ -10,7 +10,13 @@ needs.  Any two node failures are recoverable.
 Decoding is linear and diagonal per symbol position, so each erasure
 pattern compiles once into per-position weights over the surviving rows
 (_decode_map); a decode call is then one weighted sum that rebuilds the
-missing rows and tests every surviving parity's syndrome.
+missing rows and tests each surviving parity's syndrome that can fire.
+
+encode_blocks and decode reduce their input mod q once and then run the
+kernels with_parities and complete_word, which take rows that are already
+in F_q; the cluster commands call those kernels directly, since their
+symbols are in range by construction (chunk_file) or by check
+(read_segment).
 """
 
 from __future__ import annotations
@@ -219,8 +225,9 @@ def inverse_coding_matrix(params: CodeParams, i: int) -> np.ndarray:
     return params.field.inv_vec(coding_matrix(params, i))
 
 
-def _with_parities(params: CodeParams, parts: np.ndarray) -> np.ndarray:
-    """Append both parities to reduced parts of shape (..., k, N)."""
+def with_parities(params: CodeParams, parts: np.ndarray) -> np.ndarray:
+    """Encode kernel: append both parities to parts (..., k, N) whose
+    symbols already lie in [0, q)."""
     parity1 = parts.sum(axis=-2, keepdims=True) % params.q
     parity2 = (_coding_diagonals(params) * parts).sum(axis=-2, keepdims=True) % params.q
     return np.concatenate([parts, parity1, parity2], axis=-2)
@@ -231,7 +238,7 @@ def encode(params: CodeParams, parts) -> np.ndarray:
     parts = np.asarray(parts, dtype=np.int64) % params.q
     if parts.shape != (params.k, params.n):
         raise ValueError(f"parts must have shape {(params.k, params.n)}, got {parts.shape}")
-    return _with_parities(params, parts)
+    return with_parities(params, parts)
 
 
 def encode_blocks(params: CodeParams, blocks) -> np.ndarray:
@@ -241,7 +248,7 @@ def encode_blocks(params: CodeParams, blocks) -> np.ndarray:
         raise ValueError(
             f"blocks must have shape (chunks, {params.k}, {params.n}), got {blocks.shape}"
         )
-    return _with_parities(params, blocks)
+    return with_parities(params, blocks)
 
 
 @lru_cache(maxsize=None)
@@ -250,13 +257,18 @@ def _decode_map(params: CodeParams, alive: tuple) -> tuple:
     (erased, parities, weights).
 
     Decoding is linear, and diagonal per symbol position, so each erased
-    node and each surviving parity's syndrome (recomputed minus stored) is
+    node and each checked parity's syndrome (recomputed minus stored) is
     the row sum_s weights[r, s] * x[s] over the codeword rows x: r runs over
     `erased`, then over `parities`; erased rows carry zero weight.  The
     weights come from running the closed-form solve once on unit probes,
     survivor b set to all ones in batch slot b: missing parities by
     re-encoding, one missing systematic from either parity, two by entrywise
     2x2 elimination against both parities.
+
+    `parities` holds only the surviving parities whose syndrome weights are
+    not all zero.  A parity the solve itself used checks to zero on every
+    input, so a pattern with exactly k survivors checks none, and a single
+    erased systematic node is checked against the second parity only.
     """
     k, q, n = params.k, params.q, params.n
     probes = np.repeat(np.eye(len(alive), dtype=np.int64)[:, :, None], n, axis=-1)
@@ -293,16 +305,20 @@ def _decode_map(params: CodeParams, alive: tuple) -> tuple:
         fj = (rhs2 - ai * rhs1) * det_inv % q
         data[j] = fj
         data[i] = (rhs1 - fj) % q
-    word = _with_parities(params, np.stack([data[i] for i in range(1, k + 1)], axis=-2))
+    word = with_parities(params, np.stack([data[i] for i in range(1, k + 1)], axis=-2))
 
     erased = tuple(node for node in range(1, k + 3) if node not in alive)
-    parities = tuple(node for node in (k + 1, k + 2) if node in alive)
-    outputs = [node - 1 for node in erased + parities]
+    checked = tuple(node for node in (k + 1, k + 2) if node in alive)
+    outputs = [node - 1 for node in erased + checked]
     weights = np.zeros((len(outputs), k + 2, n), dtype=np.int64)
     weights[:, [node - 1 for node in alive]] = word[:, outputs].swapaxes(0, 1)
-    for r, node in enumerate(parities, start=len(erased)):
+    for r, node in enumerate(checked, start=len(erased)):
         weights[r, node - 1] -= 1
     weights %= q
+    keep = weights.any(axis=(1, 2))
+    keep[: len(erased)] = True
+    parities = tuple(node for node, kept in zip(checked, keep[len(erased) :]) if kept)
+    weights = weights[keep]
     weights.flags.writeable = False
     return erased, parities, weights
 
@@ -312,13 +328,11 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
 
     `available` maps node ids (1-based; parities are k+1 and k+2) to rows of
     one shared shape (..., N), one per codeword; returns (..., k+2, N).  Up
-    to two missing nodes are reconstructed.  Each erasure pattern compiles
-    once (_decode_map) into weights over the reduced rows, so a call is one
-    weighted sum that yields the missing rows and every surviving parity's
-    syndrome.  A nonzero syndrome raises; for stacked rows the message names
-    the first bad row (over the flattened leading axes) as the failing chunk.
+    to two missing nodes are reconstructed.  The rows are checked, stacked
+    into one int64 word and reduced mod q once; complete_word then rebuilds
+    the missing rows and tests the syndromes.
     """
-    k, q, n = params.k, params.q, params.n
+    k, n = params.k, params.n
     if len(available) < k:
         raise ValueError(f"need at least {k} nodes to decode, got {len(available)}")
     rows = {}
@@ -330,13 +344,28 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
     if shape[-1:] != (n,) or any(v.shape != shape for v in rows.values()):
         raise ValueError(f"every node's rows must have one shape (..., {n})")
 
-    erased, parities, weights = _decode_map(params, tuple(sorted(rows)))
     word = np.zeros(shape[:-1] + (k + 2, n), dtype=np.int64)
     for node, v in rows.items():
         word[..., node - 1, :] = v
-    word %= q
+    word %= params.q
+    return complete_word(params, word, tuple(sorted(rows)))
+
+
+def complete_word(params: CodeParams, word: np.ndarray, alive: tuple) -> np.ndarray:
+    """Decode kernel: rebuild the erased rows of `word` in place; returns it.
+
+    `word` is int64 (..., k+2, N), and its rows for the surviving nodes
+    `alive` (sorted ids, at least k) hold symbols in [0, q); the other rows
+    are overwritten.  The erasure pattern compiles once (_decode_map) into
+    weights, so a call is one weighted sum that yields the missing rows and
+    the syndrome of each parity that can flag.  A nonzero syndrome raises;
+    for stacked rows the message names the first bad row (over the
+    flattened leading axes) as the failing chunk.
+    """
+    n = params.n
+    erased, parities, weights = _decode_map(params, alive)
     out = np.einsum("...st,rst->...rt", word, weights)
-    out %= q
+    out %= params.q
     for r, node in enumerate(erased):
         word[..., node - 1, :] = out[..., r, :]
     # the first flag set lies in the lowest row, there in parity k+1 first
@@ -360,11 +389,14 @@ def chunk_file(data: bytes, params: CodeParams) -> np.ndarray:
 
     The bytes are zero-padded to whole chunks of params.chunk_bytes, and
     their bits are read MSB-first in groups of bits_per_symbol(q), so every
-    symbol value stays below 2**bits <= q.
+    symbol value stays below 2**bits <= q.  At 8 bits a symbol is one byte,
+    and the packing is a widening cast.
     """
     bits = bits_per_symbol(params.q)
     raw = np.frombuffer(data, dtype=np.uint8)
     padded = np.pad(raw, (0, -raw.size % params.chunk_bytes))
+    if bits == 8:
+        return padded.astype(np.int64).reshape(-1, params.k, params.n)
     weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.uint8)
     symbols = np.unpackbits(padded).reshape(-1, bits) @ weights  # uint8: sums <= 255
     return symbols.astype(np.int64).reshape(-1, params.k, params.n)
@@ -375,8 +407,8 @@ def unchunk(blocks, original_length: int, params: CodeParams) -> bytes:
 
     Rejects symbol values that no packed byte stream could produce, which
     catches corrupted or mis-decoded blocks before they round-trip silently.
-    Each checked symbol is narrowed to one byte and its low `bits` bits are
-    repacked MSB-first.
+    Each checked symbol is narrowed to one byte; at 8 bits that byte is the
+    output, and below it the symbol's low `bits` bits are repacked MSB-first.
     """
     bits = bits_per_symbol(params.q)
     blocks = np.asarray(blocks, dtype=np.int64)
@@ -385,6 +417,9 @@ def unchunk(blocks, original_length: int, params: CodeParams) -> bytes:
         raise ValueError("not enough symbols for the recorded length")
     if blocks.size and (blocks.min() < 0 or blocks.max() >= limit):
         raise ValueError("corrupt symbol stream: value out of packing range")
-    symbols = blocks.astype(np.uint8).reshape(-1, 1) << (8 - bits)
-    bitstream = np.unpackbits(symbols, axis=-1, count=bits)
+    symbols = blocks.astype(np.uint8)
+    if bits == 8:
+        return symbols.reshape(-1)[:original_length].tobytes()
+    symbols <<= 8 - bits
+    bitstream = np.unpackbits(symbols.reshape(-1, 1), axis=-1, count=bits)
     return np.packbits(bitstream)[:original_length].tobytes()

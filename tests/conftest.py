@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,9 @@ def rng():
 
 def params_for(k, searched):
     return demo_params(k) if k in (2, 3) else searched[k]
+
+
+def erasure_patterns(k):
+    """Every erasure pattern of at most two nodes, in a fixed order."""
+    nodes = range(1, k + 3)
+    return [()] + [(x,) for x in nodes] + list(itertools.combinations(nodes, 2))

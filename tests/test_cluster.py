@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hadamard_msr import cluster, metering
+from hadamard_msr import cluster, codec, metering
 from hadamard_msr.cluster import (
     ClusterState,
     IntegrityError,
@@ -20,8 +20,10 @@ from hadamard_msr.cluster import (
     read_segment,
     write_segment,
 )
-from hadamard_msr.codec import bits_per_symbol, demo_params
+from hadamard_msr.codec import bits_per_symbol, demo_params, search_params
 from hadamard_msr.repair import CompiledRepair, verify_params
+
+from conftest import erasure_patterns
 
 
 @pytest.fixture
@@ -44,6 +46,25 @@ def node_digest(state, node):
 
 def tombstone(state, node):
     return state.root / f"node-{node:02d}.seg.dead"
+
+
+def bury(state, gone):
+    """Rename the segments of `gone` to tombstones, as cmd_kill does (which
+    refuses a cluster of no chunks); returns the restoring call."""
+    for node in gone:
+        state.segment_path(node).rename(tombstone(state, node))
+    return lambda: [tombstone(state, node).rename(state.segment_path(node)) for node in gone]
+
+
+# SHA-256 of the five segments, in node order, of a k=3 cluster of
+# SEGMENT_DATA (5,120 bytes): pinned so that the encode kernel on packed
+# symbols writes exactly what the reducing encode_blocks path wrote
+SEGMENT_DATA = b"".join(hashlib.sha256(i.to_bytes(4, "little")).digest() for i in range(160))
+SEGMENT_SHA256 = {
+    11: "795b040c08904d4e41e07792aed0eef596a13ecbbf60c4a7ce530f90a284f121",
+    131: "114d88c50c243e6bdf09fabe15952a3c6c884c69c0a75795dc24ac773da73161",
+    257: "7f671fc3a0b1826cd8acfdd6dff5c28e2f1b5c5cad89f609a6a9ce12b1d22612",
+}
 
 
 class TestShardFormat:
@@ -258,6 +279,20 @@ class TestEncode:
     def test_decode_untouched(self, tmp_path, payload):
         state, data = make_cluster(tmp_path, payload, k=3)
         assert cmd_decode(state.root) == data
+
+    @pytest.mark.parametrize("q", sorted(SEGMENT_SHA256))
+    def test_segments_pinned(self, tmp_path, q):
+        src = tmp_path / "input.bin"
+        src.write_bytes(SEGMENT_DATA)
+        state = cmd_encode(src, tmp_path / "cluster", k=3, q=q)
+        p, chunks = state.params, state.manifest.chunk_count
+        words = codec.encode_blocks(p, codec.chunk_file(SEGMENT_DATA, p))
+        digest = hashlib.sha256()
+        for node in range(1, p.k + 3):
+            digest.update(state.segment_path(node).read_bytes())
+            rows = read_segment(state.segment_path(node), p, node, chunks)
+            assert np.array_equal(rows, words[:, node - 1]), node
+        assert digest.hexdigest() == SEGMENT_SHA256[q]
 
 
 class TestKill:
@@ -537,6 +572,57 @@ class TestDecode:
             for node in gone:
                 cmd_kill(root, node)
             assert cmd_decode(root) == data
+
+    @pytest.mark.parametrize("q", [11, 257])  # bit path, cast path
+    def test_matches_api_decode_for_every_pattern(self, tmp_path, q):
+        # cmd_decode runs the decode kernel on read_segment's rows; the
+        # API's reducing decode of the same rows gives the same bytes
+        data = bytes(np.random.default_rng(q).integers(0, 256, size=1000, dtype=np.uint8))
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        state = cmd_encode(src, tmp_path / "cluster", k=3, q=q)
+        p, chunks = state.params, state.manifest.chunk_count
+        for gone in erasure_patterns(p.k):
+            restore = bury(state, gone)
+            alive = [m for m in range(1, p.k + 3) if m not in gone]
+            rows = {m: read_segment(state.segment_path(m), p, m, chunks) for m in alive}
+            api = codec.unchunk(codec.decode(p, rows)[:, : p.k], len(data), p)
+            assert cmd_decode(state.root) == api == data, gone
+            restore()
+
+    @pytest.mark.parametrize("q", [11, 257])
+    def test_round_trip_lengths(self, tmp_path, q):
+        c = search_params(3, q).chunk_bytes
+        rng = np.random.default_rng(c)
+        for length in (0, 1, c - 1, c + 1):
+            data = bytes(rng.integers(0, 256, size=length, dtype=np.uint8))
+            src = tmp_path / f"input-{length}.bin"
+            src.write_bytes(data)
+            state = cmd_encode(src, tmp_path / f"cluster-{length}", k=3, q=q)
+            assert state.manifest.chunk_count == -(-length // c)
+            for gone in [(), (2,), (5,), (1, 3), (4, 5)]:
+                restore = bury(state, gone)
+                assert cmd_decode(state.root) == data, (length, gone)
+                restore()
+
+    def test_symbol_outside_a_byte_refused(self, tmp_path):
+        # at q=257 a stored or rebuilt 256 is a field element, so every
+        # syndrome passes, but no byte: unchunk refuses it before the cast
+        p = search_params(3, 257)
+        data = bytes(range(200))
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        state = cmd_encode(src, tmp_path / "cluster", k=3, q=257)
+        blocks = codec.chunk_file(data, p)
+        blocks[1, 0, 3] = 256
+        words = codec.encode_blocks(p, blocks)
+        for node in range(1, p.k + 3):
+            write_segment(state.segment_path(node), p, node, words[:, node - 1])
+        for gone in [(), (1,), (1, 2), (4, 5)]:
+            restore = bury(state, gone)
+            with pytest.raises(IntegrityError, match="^corrupt symbol stream"):
+                cmd_decode(state.root)
+            restore()
 
     def test_output_file(self, tmp_path, payload):
         state, data = make_cluster(tmp_path, payload)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hadamard_msr import codec
 
-from conftest import SMALL_PRIMES
+from conftest import SMALL_PRIMES, erasure_patterns
 from hadamard_msr.codec import (
     CodeParams,
     DEMO_COEFFICIENTS,
@@ -256,17 +256,21 @@ class TestEncode:
         parts = np.full((2, 8), 7, dtype=np.int64)
         assert np.array_equal(encode(demo_k2, parts), np.zeros((4, 8), dtype=np.int64))
 
+    def test_blocks_inputs_reduced_mod_q(self, demo_k2, rng):
+        # encode_blocks is the API entry and reduces its input; cmd_encode
+        # runs with_parities on packed symbols, which are in range already
+        blocks = rng.integers(0, 7, size=(3, 2, 8), dtype=np.int64)
+        want = codec.with_parities(demo_k2, blocks)
+        for shifted in (blocks + 7, blocks - 14, blocks + 7000):
+            assert np.array_equal(encode_blocks(demo_k2, shifted), want)
+        full = np.full((2, 2, 8), 7, dtype=np.int64)
+        assert np.array_equal(encode_blocks(demo_k2, full), np.zeros((2, 4, 8), dtype=np.int64))
+
     def test_blocks_match_single(self, demo_k2, rng):
         blocks = rng.integers(0, 7, size=(5, 2, 8), dtype=np.int64)
         stacked = encode_blocks(demo_k2, blocks)
         for c in range(5):
             assert np.array_equal(stacked[c], encode(demo_k2, blocks[c]))
-
-
-def erasure_patterns(k):
-    """Every erasure pattern of at most two nodes, in a fixed order."""
-    nodes = range(1, k + 3)
-    return [()] + [(x,) for x in nodes] + list(itertools.combinations(nodes, 2))
 
 
 # parity that a decode names when one survivor (dict key, or every survivor
@@ -421,6 +425,52 @@ class TestDecode:
             decode(demo_k2, available)
 
 
+def full_syndromes(p, alive, erased, weights):
+    """Syndrome weights of every surviving parity, derived from the decode
+    map's erased rows alone: each systematic row as weights over the
+    codeword rows, re-encoded, minus the stored parity."""
+    k, n = p.k, p.n
+    unit = np.zeros((k + 2, k + 2, n), dtype=np.int64)
+    unit[np.arange(k + 2), np.arange(k + 2)] = 1
+    rows = {node: unit[node - 1] for node in alive}
+    rows.update({node: weights[r] for r, node in enumerate(erased)})
+    parts = np.stack([rows[i] for i in range(1, k + 1)])
+    diagonals = np.stack([coding_matrix(p, i) for i in range(1, k + 1)])
+    recomputed = {k + 1: parts.sum(axis=0), k + 2: (diagonals[:, None] * parts).sum(axis=0)}
+    return {
+        node: (recomputed[node] - unit[node - 1]) % p.q for node in (k + 1, k + 2) if node in alive
+    }
+
+
+class TestDecodeMap:
+    @pytest.mark.parametrize("q", [None, 257])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_keeps_only_syndromes_that_can_fire(self, k, q):
+        if q is None:
+            p = demo_params(k) if k in DEMO_COEFFICIENTS else search_params(k)
+        else:
+            p = search_params(k, q)
+        nodes = range(1, k + 3)
+        for gone in erasure_patterns(k):
+            alive = tuple(m for m in nodes if m not in gone)
+            erased, parities, weights = codec._decode_map(p, alive)
+            assert erased == gone
+            assert weights.shape == (len(erased) + len(parities), k + 2, p.n)
+            assert not weights[:, [m - 1 for m in gone]].any(), gone
+            full = full_syndromes(p, alive, erased, weights)
+            for r, node in enumerate(parities, start=len(erased)):
+                assert weights[r].any(), (gone, node)
+                assert np.array_equal(weights[r], full[node]), (gone, node)
+            for node in set(full) - set(parities):
+                assert not full[node].any(), (gone, node)
+            if len(alive) == k:
+                assert parities == (), gone
+            elif gone and gone[0] <= k:  # one erased systematic node
+                assert parities == (k + 2,), gone
+            else:  # nothing erased, or one parity
+                assert parities == tuple(m for m in (k + 1, k + 2) if m in alive), gone
+
+
 def bitwise_chunk_file(data: bytes, params: CodeParams) -> np.ndarray:
     """Reference packer: every input bit widened to an int64 and regrouped."""
     bits = bits_per_symbol(params.q)
@@ -517,7 +567,15 @@ class TestPacking:
         p = CodeParams(3, 257, (1, 1, 4), (60, 197, 70))
         blocks = chunk_file(b"hello world", p)
         blocks[0, 0, 0] = 256  # valid field element, invalid packed byte
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^corrupt symbol stream"):
+            unchunk(blocks, 11, p)
+
+    def test_byte_mode_rejects_negative_symbol(self):
+        # a narrowing cast alone would wrap -1 to 255 (and 256, above, to 0)
+        p = search_params(3, 257)
+        blocks = chunk_file(b"hello world", p)
+        blocks[0, 1, 2] = -1
+        with pytest.raises(ValueError, match="^corrupt symbol stream"):
             unchunk(blocks, 11, p)
 
     def test_unchunk_rejects_bad_length(self, demo_k2):

@@ -49,22 +49,32 @@ def test_chunk_file_peak(data, q):
     assert peak <= blocks.nbytes + 8 * SIZE
 
 
+# The bit path at q=11 narrows, shifts and unpacks 8/3 symbols per byte
+# (12.7 measured); at q=257 a symbol is a byte, so the narrowed symbols and
+# the returned bytes are all it holds (2.0 measured).
 @pytest.mark.parametrize("q", [11, 257])
 def test_unchunk_peak(data, q):
     p = codec.search_params(3, q)
     blocks = codec.chunk_file(data, p)
     out, peak = peak_of(lambda: codec.unchunk(blocks, SIZE, p))
     assert out == data
-    assert peak <= 16 * SIZE
+    assert peak <= {11: 13, 257: 2.1}[q] * SIZE, peak / SIZE
 
 
+# The int64 blocks (8), the parity products and sums and the concatenated
+# (chunks, k+2, N) int64 words (13.3): 27.7 measured.
 def test_encode_peak(data, tmp_path):
     src = tmp_path / "input.bin"
     src.write_bytes(data)
     _, peak = peak_of(lambda: cmd_encode(src, tmp_path / "cluster", k=3, q=257))
-    assert peak <= 48 * SIZE
+    assert peak <= 28 * SIZE, peak / SIZE
 
 
+# Per input byte at q=257: the (chunks, k+2, N) int64 word (13.3), filled
+# from the segments one at a time, plus the kernel's int64 output of two rows
+# per chunk (5.3): the erased rows and any syndrome that can fire.  One dead
+# systematic node adds the syndrome flags of one parity (0.3).  Measured:
+# 19.1 with one dead node, 18.7 with two.
 def test_decode_peak_one_dead_node(data, tmp_path):
     src = tmp_path / "input.bin"
     src.write_bytes(data)
@@ -73,7 +83,7 @@ def test_decode_peak_one_dead_node(data, tmp_path):
     cmd_kill(root, 2)
     out, peak = peak_of(lambda: cmd_decode(root))
     assert out == data
-    assert peak <= 64 * SIZE
+    assert peak <= 19.5 * SIZE, peak / SIZE
 
 
 @pytest.mark.parametrize("dead", [(1, 3), (2, 5)])
@@ -86,7 +96,7 @@ def test_decode_peak_two_dead_nodes(data, tmp_path, dead):
         cmd_kill(root, node)
     out, peak = peak_of(lambda: cmd_decode(root))
     assert out == data
-    assert peak <= 64 * SIZE
+    assert peak <= 19 * SIZE, peak / SIZE
 
 
 # Per input byte at q=257 (48 input bytes per chunk): the int64 payload
