@@ -20,13 +20,8 @@ from .codec import (
 from .design import fast_hadamard_apply, sign_vector, sylvester
 from .field import PrimeField
 from .metering import BenchTable, CostReport, emit_table, measure_repair
-from .repair import (
-    RepairPlan,
-    STRATEGIES,
-    build_repair_plan,
-    execute_repair,
-    verify_rank_conditions,
-)
+from .repair import RepairPlan, STRATEGIES, build_repair_plan, execute_repair
+from .verify import verify_rank_conditions
 
 __all__ = [
     "BenchTable",

@@ -11,9 +11,10 @@ import sys
 from functools import cache
 
 from . import cluster
-from .codec import DEMO_COEFFICIENTS, demo_params, search_params
+from .codec import profile_params
 from .metering import cmd_bench
-from .repair import STRATEGIES, verify_params
+from .repair import STRATEGIES
+from .verify import verify_params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,10 +94,7 @@ def _cmd_verify(args) -> int:
         except ValueError:
             raise cluster.UsageError("--params expects two integers: k,q") from None
         try:
-            if DEMO_COEFFICIENTS.get(k, (None,))[0] == q:
-                params = demo_params(k)
-            else:
-                params = search_params(k, q)
+            params = profile_params(k, q)
         except ValueError as exc:
             raise cluster.UsageError(str(exc)) from None
         ok, lines = verify_params(params)

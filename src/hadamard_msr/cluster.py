@@ -26,7 +26,8 @@ import numpy as np
 
 from . import codec
 from .codec import CodeParams, DEMO_COEFFICIENTS, bits_per_symbol, demo_params, search_params
-from .repair import STRATEGIES, RepairPlan, build_repair_plan, verify_params
+from .repair import STRATEGIES, RepairPlan, build_repair_plan
+from .verify import verify_params
 
 MAGIC = b"HMSR"
 FORMAT_VERSION = 2

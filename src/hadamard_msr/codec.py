@@ -201,6 +201,14 @@ def demo_params(k: int) -> CodeParams:
     return CodeParams(k, q, a, b)
 
 
+def profile_params(k: int, q: int | None = None) -> CodeParams:
+    """The code that (k, q) names: the demo profile when k has one and q is
+    omitted or is its modulus, else search_params(k, q)."""
+    if k in DEMO_COEFFICIENTS and q in (None, DEMO_COEFFICIENTS[k][0]):
+        return demo_params(k)
+    return search_params(k, q)
+
+
 @lru_cache(maxsize=None)
 def _coding_diagonals(params: CodeParams) -> np.ndarray:
     x0 = sign_vector(0, params.k)

@@ -3,12 +3,12 @@
 The coding matrices of the codec are diagonal, built from sign vectors x_i
 whose j-th entry is (-1)**floor(j / 2**i).  Two index relations drive the
 repair schemes: shifting an index by 2**l flips the sign of x_i exactly when
-i = l (lemma1_relation), and the mirrored partner N-1-j-(-1)**j flips every
-x_i except x_0 (lemma2_partner).  The Sylvester-Hadamard matrix and its fast
-transform, two matmuls through a Kronecker split, tie the standard basis to
-the alternative helper basis.  The transform only computes; the addition
-count of the published schedule is charged once per repair plan by
-RepairPlan.cost().
+i = l (the pairing of a systematic repair matrix), and the mirrored partner
+N-1-j-(-1)**j flips every x_i except x_0 (lemma2_partner).  The
+Sylvester-Hadamard matrix and its fast transform, two matmuls through a
+Kronecker split, tie the standard basis to the alternative helper basis.
+The transform only computes; the addition count of the published schedule
+is charged once per repair plan by RepairPlan.cost().
 """
 
 from __future__ import annotations
@@ -24,26 +24,6 @@ def sign_vector(i: int, k: int) -> np.ndarray:
         raise ValueError(f"sign vector index {i} out of range for k={k}")
     j = np.arange(1 << (k + 1), dtype=np.int64)
     return 1 - 2 * ((j >> i) & 1)
-
-
-def lemma1_relation(i: int, l: int, j: int, k: int) -> str:
-    """Relation between sign_vector(i, k)[j] and entry j + 2**l.
-
-    Valid for j = mu * 2**(l+1) + nu with 0 <= mu < 2**(k-l) and
-    0 <= nu < 2**l (so the shifted index stays in range and bit l of j is
-    zero).  Returns "negated" when i = l, else "equal".
-    """
-    for name, v in (("i", i), ("l", l)):
-        if not 0 <= v <= k:
-            raise ValueError(f"{name}={v} out of range for k={k}")
-    n = 1 << (k + 1)
-    nu = j & ((1 << l) - 1)
-    mu = j >> (l + 1)
-    if not (0 <= mu < 1 << (k - l)) or mu * (1 << (l + 1)) + nu != j:
-        raise ValueError(f"index {j} is not of the form mu*2**{l + 1}+nu")
-    if j + (1 << l) >= n:
-        raise ValueError(f"shifted index {j + (1 << l)} out of range")
-    return "negated" if i == l else "equal"
 
 
 def lemma2_partner(j: int, n: int) -> int:

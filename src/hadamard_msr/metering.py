@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import DEMO_COEFFICIENTS, CodeParams, demo_params, encode, search_params
+from .codec import DEMO_COEFFICIENTS, CodeParams, demo_params, encode, profile_params
 from .repair import STRATEGIES, build_repair_plan, execute_repair
 
 CSV_HEADER = "node,strategy,add,mul,add_bound,mul_bound,downloaded_symbols"
@@ -207,8 +207,7 @@ def cmd_bench(k_values, strategies=STRATEGIES) -> list[BenchTable]:
     searched coefficients otherwise."""
     tables = []
     for k in k_values:
-        params = demo_params(k) if k in DEMO_COEFFICIENTS else search_params(k)
-        tables.append(emit_table(params, tuple(strategies)))
+        tables.append(emit_table(profile_params(k), tuple(strategies)))
     return tables
 
 

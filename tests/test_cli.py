@@ -282,9 +282,29 @@ class TestVerify:
         root = encode_cluster(tmp_path, blob)
         mpath = root / "manifest.txt"
         mpath.write_text(mpath.read_text().replace("a: 1,1", "a: 0,1"))
+        capsys.readouterr()
         rc = main(["verify", str(root)])
         assert rc == 2
-        assert "verification FAILED" in capsys.readouterr().out
+        assert capsys.readouterr().out == "".join(
+            line + "\n"
+            for line in [
+                f"cluster {root}: 125 chunks, 500 bytes",
+                "parameters: k=2 q=7 a=0,1 b=3,4",
+                "FAIL coefficient constraint: a_1 is zero",
+                "FAIL coefficient constraint: a_1^2 - b_1^2 != -1 (mod 7)",
+                "FAIL coefficient constraint: s*a_1 + t*a_2 = +-(b_1 - b_2) (mod 7) "
+                "for some signs s, t",
+                "ok: coding matrix entries all nonzero",
+                "FAIL coding matrices: shared entry between two nodes",
+                "ok: inverse coding matrices verified",
+                "FAIL erasure decoding: patterns [(1, 2)] do not round-trip",
+                "FAIL rank condition: node 1 recover: expected rank 8, "
+                "pairs inconsistent, elimination rank 4",
+                "FAIL rank condition: node 4 interference from node 2: expected rank 4, "
+                "pairs inconsistent, elimination rank 8",
+                "verification FAILED",
+            ]
+        )
 
     def test_needs_an_argument(self, capsys):
         assert main(["verify"]) == 1

@@ -21,7 +21,8 @@ from hadamard_msr.cluster import (
     write_segment,
 )
 from hadamard_msr.codec import bits_per_symbol, demo_params, search_params
-from hadamard_msr.repair import CompiledRepair, verify_params
+from hadamard_msr.repair import CompiledRepair
+from hadamard_msr.verify import verify_params
 
 from conftest import erasure_patterns
 

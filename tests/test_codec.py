@@ -22,6 +22,7 @@ from hadamard_msr.codec import (
     encode_blocks,
     find_coefficients,
     inverse_coding_matrix,
+    profile_params,
     search_params,
     unchunk,
     validate_coefficients,
@@ -153,6 +154,22 @@ class TestSearch:
     def test_demo_profile_k3_differs_from_search(self, demo_k3):
         assert (demo_k3.a, demo_k3.b) != find_coefficients(3, 11)
         assert validate_coefficients(3, 11, demo_k3.a, demo_k3.b)
+
+    def test_profile_params_names_one_code(self):
+        # the demo profile when k has one and q is absent or its modulus;
+        # k=3's demo set is not the one the search finds at q=11
+        for k in (2, 3):
+            demo = demo_params(k)
+            assert profile_params(k) == profile_params(k, demo.q) == demo
+        assert profile_params(3, 11) != search_params(3, 11)
+        for k in (4, 5):
+            assert profile_params(k) == search_params(k)
+        # a demo modulus names no profile for a k that has none
+        assert profile_params(4, 11) == search_params(4, 11)
+        with pytest.raises(ValueError, match="2k\\+3"):
+            profile_params(5, 11)
+        for k in (2, 3, 4, 5):
+            assert profile_params(k, 23) == search_params(k, 23)
 
     def test_search_params_picks_first_viable_prime(self):
         p = search_params(2)

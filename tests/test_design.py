@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from hadamard_msr.design import (
     fast_hadamard_apply,
     hadamard_factors,
-    lemma1_relation,
     lemma2_partner,
     sign_vector,
     sylvester,
@@ -43,22 +42,9 @@ class TestShiftRelation:
                     for nu in range(step):
                         j = mu * 2 * step + nu
                         for i in range(k + 1):
-                            rel = lemma1_relation(i, l, j, k)
-                            expected = "negated" if i == l else "equal"
-                            assert rel == expected
                             lhs = vectors[i][j + step]
                             rhs = vectors[i][j]
                             assert lhs == (-rhs if i == l else rhs)
-
-    def test_rejects_bad_offset(self):
-        # j = 2 is not of the form mu*4 + nu with nu < 2 when l = 1
-        with pytest.raises(ValueError):
-            lemma1_relation(0, 1, 2, 2)
-
-    def test_rejects_misaligned_index(self):
-        # 7 = 0*8 + 7 needs nu = 7 >= 2**l = 4, so the decomposition fails
-        with pytest.raises(ValueError):
-            lemma1_relation(0, 2, 7, 2)
 
 
 class TestMirrorPartner:

@@ -16,9 +16,8 @@ from hadamard_msr.repair import (
     parity1_repair_matrices,
     parity2_repair_matrices,
     systematic_repair_matrix,
-    verify_params,
-    verify_rank_conditions,
 )
+from hadamard_msr.verify import verify_params, verify_rank_conditions
 
 from conftest import params_for
 
