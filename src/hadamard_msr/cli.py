@@ -110,8 +110,10 @@ def _cmd_verify(args) -> int:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The hmsr parser, built once per process: every main() call parses
-    into a fresh Namespace, so no flag carries over to the next call."""
+    """The hmsr parser, built once per process.  parser.commands maps each
+    command name to its sub-parser, so main() parses a command's arguments
+    with that sub-parser alone, into a fresh Namespace every call: no flag
+    carries over to the next call."""
     parser = _Parser(
         prog="hmsr",
         description="Bandwidth-optimal (k+2, k) erasure coding over a simulated cluster.",
@@ -172,13 +174,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one hmsr command and return its exit code.
+
+    An argv that starts with a command name is parsed once, by that
+    command's sub-parser.  Any other argv (empty, an unknown command, -h)
+    goes to the top-level parser, which prints usage, help or the error."""
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
         if getattr(args, "func", None) is None:
             parser.print_usage(sys.stderr)
             return 1

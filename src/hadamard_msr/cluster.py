@@ -12,11 +12,13 @@ chunk from each helper, and then drops the tombstone; decode tolerates any
 two dead nodes.
 
 Segment and manifest I/O is builtin open and os calls on str paths.  Every
-command that loads a cluster opens the manifest once (no stat first) and
-stats each of the k+2 segments once, and lists no directory.  On top of
-that, kill renames one segment; repair opens the k+1 helper segments and
-one temp file, renames it into place and unlinks the tombstone; decode opens
-each live segment and the output file, if any.
+command that loads a cluster opens and reads the manifest once (no stat
+first), stats each of the k+2 segments once, and lists no directory; the
+parse of the manifest's text is memoized, so an unchanged manifest is not
+parsed again in the same process.  On top of that, kill renames one segment;
+repair opens the k+1 helper segments and one temp file, renames it into
+place and unlinks the tombstone; decode opens each live segment and the
+output file, if any.
 
 Errors carry the process exit code the CLI should use: 1 for usage problems,
 2 for integrity/verification failures, 3 when the data is unrecoverable.
@@ -28,7 +30,7 @@ import os
 import struct
 from errno import EISDIR, ELOOP, ENOENT, ENOTDIR
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from stat import S_ISREG
@@ -158,65 +160,81 @@ class Manifest:
 
     @classmethod
     def load(cls, root) -> "Manifest":
-        """Parse the manifest; parameter values are range-checked but the
-        coefficient constraints are re-verified by callers, so a tampered
+        """Read and parse the manifest; parameter values are range-checked but
+        the coefficient constraints are re-verified by callers, so a tampered
         manifest can still be loaded and then graded by verification.
 
         One open, no stat by path: a manifest that is missing, under a
         non-directory, a symlink loop or not a regular file makes root no
-        cluster."""
+        cluster.  The file is read on every call; only the parse of its
+        text is memoized."""
         try:
-            with open(_in_root(root, MANIFEST_NAME), opener=_open_nonblocking) as f:
+            with open(
+                _in_root(root, MANIFEST_NAME), "rb", buffering=0, opener=_open_nonblocking
+            ) as f:
                 # a directory fails in open, a FIFO or a device here
-                text = f.read() if S_ISREG(os.fstat(f.fileno()).st_mode) else None
+                text = f.read().decode() if S_ISREG(os.fstat(f.fileno()).st_mode) else None
         except OSError as exc:  # missing, under a non-directory, a directory or a loop
             if exc.errno not in (ENOENT, ENOTDIR, EISDIR, ELOOP):
                 raise
             text = None
+        except UnicodeDecodeError as exc:
+            raise IntegrityError(
+                f"manifest is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
         if text is None:
             raise UsageError(f"{root} is not a cluster (no {MANIFEST_NAME})")
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(":")
-            if not _:
-                raise IntegrityError(f"manifest line not key: value - {line!r}")
-            fields[key.strip()] = value.strip()
-        try:
-            version = int(fields["version"])
-            k = int(fields["k"])
-            q = int(fields["q"])
-            a = tuple(int(v) for v in fields["a"].split(","))
-            b = tuple(int(v) for v in fields["b"].split(","))
-            chunk_count = int(fields["chunk_count"])
-            original_length = int(fields["original_length"])
-            packing = int(fields["packing"])
-        except (KeyError, ValueError) as exc:
-            raise IntegrityError(f"manifest is malformed: {exc}") from None
-        if version != FORMAT_VERSION:
-            raise IntegrityError(f"unsupported manifest version {version}")
-        try:
-            params = CodeParams(k, q, a, b, check=False)
-        except ValueError as exc:
-            raise IntegrityError(f"manifest parameters invalid: {exc}") from None
-        if packing != bits_per_symbol(q):
-            raise IntegrityError(
-                f"manifest packing {packing} does not match q={q} "
-                f"(expected {bits_per_symbol(q)})"
-            )
-        if chunk_count < 0 or original_length < 0:
-            raise IntegrityError("manifest counts must be non-negative")
-        if chunk_count * params.chunk_bytes < original_length:
-            raise IntegrityError("manifest chunk capacity below recorded length")
-        return cls(params=params, chunk_count=chunk_count, original_length=original_length)
+        return _parse_manifest(text)
 
     def validated_params(self) -> CodeParams:
         try:
             return _checked_params(self.params)
         except ValueError as exc:
             raise IntegrityError(f"manifest coefficients invalid: {exc}") from None
+
+
+@lru_cache(maxsize=64)
+def _parse_manifest(text: str) -> Manifest:
+    """The Manifest that a manifest's text describes, memoized on the text: a
+    command that reads an unchanged manifest skips the parse, and an edited
+    one is parsed afresh.  A malformed manifest raises and is not cached, so
+    it raises on every read."""
+    fields = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(":")
+        if not _:
+            raise IntegrityError(f"manifest line not key: value - {line!r}")
+        fields[key.strip()] = value.strip()
+    try:
+        version = int(fields["version"])
+        k = int(fields["k"])
+        q = int(fields["q"])
+        a = tuple(int(v) for v in fields["a"].split(","))
+        b = tuple(int(v) for v in fields["b"].split(","))
+        chunk_count = int(fields["chunk_count"])
+        original_length = int(fields["original_length"])
+        packing = int(fields["packing"])
+    except (KeyError, ValueError) as exc:
+        raise IntegrityError(f"manifest is malformed: {exc}") from None
+    if version != FORMAT_VERSION:
+        raise IntegrityError(f"unsupported manifest version {version}")
+    try:
+        params = CodeParams(k, q, a, b, check=False)
+    except ValueError as exc:
+        raise IntegrityError(f"manifest parameters invalid: {exc}") from None
+    if packing != bits_per_symbol(q):
+        raise IntegrityError(
+            f"manifest packing {packing} does not match q={q} "
+            f"(expected {bits_per_symbol(q)})"
+        )
+    if chunk_count < 0 or original_length < 0:
+        raise IntegrityError("manifest counts must be non-negative")
+    if chunk_count * params.chunk_bytes < original_length:
+        raise IntegrityError("manifest chunk capacity below recorded length")
+    return Manifest(params=params, chunk_count=chunk_count, original_length=original_length)
 
 
 @lru_cache(maxsize=None)
@@ -236,10 +254,11 @@ class ClusterState:
     def load(cls, root) -> "ClusterState":
         """Read the manifest and stat each node's segment once for liveness."""
         root = Path(root)
-        state = cls(root=root, manifest=Manifest.load(root))
-        nodes = range(1, state.params.k + 3)
-        dead = tuple(n for n in nodes if not os.path.isfile(state._segment_file(n)))
-        return replace(state, dead=dead)
+        manifest = Manifest.load(root)
+        prefix = _in_root(root, "")  # "" for a root of ".", else root and a separator
+        nodes = range(1, manifest.params.k + 3)
+        dead = tuple(n for n in nodes if not os.path.isfile(f"{prefix}node-{n:02d}.seg"))
+        return cls(root, manifest, dead)
 
     @property
     def params(self) -> CodeParams:
@@ -319,7 +338,7 @@ def cmd_kill(root, node: int, force: bool = False) -> ClusterState:
         )
     segment = state._segment_file(node)
     os.rename(segment, segment + DEAD_SUFFIX)
-    return replace(state, dead=tuple(sorted((*dead, node))))
+    return ClusterState(state.root, state.manifest, tuple(sorted((*dead, node))))
 
 
 def read_repair_payload(state: ClusterState, plan: RepairPlan, helper: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import hadamard_msr
-from hadamard_msr import cluster
+from hadamard_msr import cli, cluster
 from hadamard_msr.cli import build_parser, main
 from hadamard_msr.metering import CSV_HEADER
 
@@ -416,6 +417,46 @@ class TestLiveness:
             assert sorted(opened) == opens, argv
 
 
+class TestManifestRead:
+    """The manifest is read on every command, and its parse is memoized on
+    the text read."""
+
+    @pytest.mark.parametrize("argv", [["kill", "1"], ["repair", "1"], ["decode"]])
+    def test_non_utf8_manifest_is_integrity_error(self, tmp_path, blob, capsys, argv):
+        root = encode_cluster(tmp_path, blob)
+        with open(root / "manifest.txt", "ab") as f:
+            f.write(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert main([argv[0], str(root), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: manifest is not UTF-8 text: invalid start byte at byte 84\n"
+        )
+
+    def test_non_utf8_manifest_fails_verify(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        with open(root / "manifest.txt", "ab") as f:
+            f.write(b"\xff\xfe\n")
+        capsys.readouterr()
+        assert main(["verify", str(root)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL manifest: manifest is not UTF-8 text: invalid start byte at byte 84",
+            "verification FAILED",
+        ]
+
+    def test_manifest_edited_between_commands_is_parsed_afresh(self, tmp_path, blob, capsys):
+        root = encode_cluster(tmp_path, blob)
+        out = tmp_path / "out.bin"
+        assert main(["decode", str(root), "--out", str(out)]) == 0
+        assert out.read_bytes() == blob[1]
+        mpath = root / "manifest.txt"
+        mpath.write_text(mpath.read_text().replace("chunk_count: 125", "chunk_count: 126"))
+        capsys.readouterr()
+        assert main(["decode", str(root), "--out", str(out)]) == 2
+        assert "wrong size for 126 chunks (125 in its header)" in capsys.readouterr().err
+
+
 def names(root):
     return sorted(path.name for path in root.iterdir())
 
@@ -605,6 +646,118 @@ class TestParserReuse:
         assert capsys.readouterr().out == first
 
 
+# exit code (("exit", code) for a SystemExit), stdout and stderr of main(argv)
+# at 80 columns, pinned from the two-pass parse that sub-parser dispatch replaced
+PINNED_ARGV = [
+    ([], 1, "", "usage: hmsr [-h] command ...\n"),
+    (
+        ["scrub"],
+        1,
+        "",
+        "error: argument command: invalid choice: 'scrub' "
+        "(choose from 'encode', 'kill', 'repair', 'decode', 'bench', 'verify')\n",
+    ),
+    (["kill"], 1, "", "error: the following arguments are required: cluster, node\n"),
+    (["kill", "x", "two"], 1, "", "error: argument node: invalid int value: 'two'\n"),
+    (
+        ["repair", "x", "2", "--strategy", "z"],
+        1,
+        "",
+        "error: argument --strategy: invalid choice: 'z' (choose from 'new', 'original')\n",
+    ),
+    (
+        ["encode", "-h"],
+        ("exit", 0),
+        "usage: hmsr encode [-h] --k K [--q Q] [--demo] input out\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file to encode\n"
+        "  out         cluster directory to create\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --k K       number of systematic nodes\n"
+        "  --q Q       field size (odd prime)\n"
+        "  --demo      use the fixed demo coefficients for k=2 or k=3\n",
+        "",
+    ),
+    (
+        ["-h"],
+        ("exit", 0),
+        "usage: hmsr [-h] command ...\n"
+        "\n"
+        "Bandwidth-optimal (k+2, k) erasure coding over a simulated cluster.\n"
+        "\n"
+        "positional arguments:\n"
+        "  command\n"
+        "    encode    encode a file into a cluster directory\n"
+        "    kill      mark a node dead by renaming its segment to a tombstone\n"
+        "    repair    rebuild a dead node from the k+1 live ones\n"
+        "    decode    reconstruct the original file\n"
+        "    bench     print measured repair cost tables\n"
+        "    verify    check code invariants and repair rank conditions\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n",
+        "",
+    ),
+    (["bench", "--k", "two"], 1, "", "error: argument --k: invalid int value: 'two'\n"),
+    (["verify", "--params", "3"], 1, "", "error: --params expects two integers: k,q\n"),
+    (["decode"], 1, "", "error: the following arguments are required: cluster\n"),
+]
+
+
+class TestDispatch:
+    """main() parses a command's arguments once, with its sub-parser alone."""
+
+    @pytest.mark.parametrize(
+        "argv, rc, out, err", PINNED_ARGV, ids=[" ".join(a) or "empty" for a, *_ in PINNED_ARGV]
+    )
+    def test_usage_help_and_errors_pinned(self, argv, rc, out, err, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = ("exit", exc.code)
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (rc, out, err)
+
+    def test_one_parse_per_command(self, tmp_path, blob, capsys, monkeypatch):
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, args=None, namespace=None):
+            parsed.append(self.prog)
+            return parse_known_args(self, args, namespace)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+        path, data = blob
+        root = tmp_path / "cluster"
+        out = tmp_path / "out.bin"
+        for argv in (
+            ["encode", str(path), str(root), "--k", "2", "--demo"],
+            ["kill", str(root), "2"],
+            ["repair", str(root), "2", "--report", "--strategy", "original"],
+            ["decode", str(root), "--out", str(out)],
+            ["verify", str(root)],
+            ["bench", "--k", "2", "--csv"],
+            ["kill", str(root), "two"],
+        ):
+            parsed.clear()
+            main(argv)
+            assert parsed == [f"hmsr {argv[0]}"], argv
+        for argv in ([], ["scrub"]):
+            parsed.clear()
+            main(argv)
+            assert parsed == ["hmsr"], argv
+        assert out.read_bytes() == data
+
+    def test_commands_are_the_sub_parsers(self):
+        parser = build_parser()
+        assert list(parser.commands) == ["encode", "kill", "repair", "decode", "bench", "verify"]
+        assert all(p.prog == f"hmsr {name}" for name, p in parser.commands.items())
+
+
 def test_fresh_process_matches_in_process(tmp_path, blob, capsys):
     """`python -m hadamard_msr.cli` in a new process gives the same exit
     codes, output and decoded bytes as main() called in this one."""
@@ -621,6 +774,8 @@ def test_fresh_process_matches_in_process(tmp_path, blob, capsys):
             ["repair", str(root), "2", "--report"],
             ["decode", str(root), "--out", str(root / "out.bin")],
             ["repair", str(root)],
+            ["scrub", str(root)],
+            ["kill", str(root)],
         ]
 
     def in_process(argv):
@@ -639,12 +794,12 @@ def test_fresh_process_matches_in_process(tmp_path, blob, capsys):
         results = []
         for argv in steps(root):
             rc, out, err = run(argv)
-            results.append((rc, out.replace(str(root), "<root>"), bool(err)))
+            results.append((rc, out.replace(str(root), "<root>"), err.replace(str(root), "<root>")))
         return results
 
     here, there = tmp_path / "here", tmp_path / "there"
     expected = script(in_process, here)
-    assert [rc for rc, _, _ in expected] == [0, 0, 0, 0, 1]
+    assert [rc for rc, _, _ in expected] == [0, 0, 0, 0, 1, 1, 1]
     assert script(fresh_process, there) == expected
     assert (here / "out.bin").read_bytes() == data
     assert (there / "out.bin").read_bytes() == data

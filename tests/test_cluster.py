@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import os
 import shutil
@@ -262,6 +263,49 @@ class TestManifest:
             with pytest.raises(IntegrityError, match="coefficients invalid: invalid coefficients"):
                 bad.validated_params()
             assert len(calls) == expected
+
+    def test_parse_memoized_on_the_text_read(self, tmp_path, demo_k2, monkeypatch):
+        # the file is opened on every load; an unchanged manifest skips the
+        # parse, an edited one is parsed afresh
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
+        opened = []
+        open_ = builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open_(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        cluster._parse_manifest.cache_clear()
+        first = Manifest.load(tmp_path)
+        assert Manifest.load(tmp_path) is first
+        info = cluster._parse_manifest.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        text = (tmp_path / "manifest.txt").read_text()
+        (tmp_path / "manifest.txt").write_text(text.replace("chunk_count: 1", "chunk_count: 2"))
+        edited = Manifest.load(tmp_path)
+        assert (edited.chunk_count, first.chunk_count) == (2, 1)
+        assert cluster._parse_manifest.cache_info().misses == 2
+        assert [Path(p).name for p in opened].count("manifest.txt") == 3
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (b"rogue line\n", "key: value"),
+            (b"\xff\xfe\n", "not UTF-8 text: invalid start byte"),
+        ],
+        ids=["malformed", "non-utf8"],
+    )
+    def test_malformed_manifest_raises_every_call(self, tmp_path, demo_k2, bad, match):
+        Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
+        with open(tmp_path / "manifest.txt", "ab") as f:
+            f.write(bad)
+        cluster._parse_manifest.cache_clear()
+        for _ in range(3):
+            with pytest.raises(IntegrityError, match=match):
+                Manifest.load(tmp_path)
+            info = cluster._parse_manifest.cache_info()
+            assert (info.hits, info.currsize) == (0, 0)
 
     def test_tampered_coefficients_load_but_fail_validation(self, tmp_path, demo_k2):
         Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)

@@ -1,7 +1,9 @@
 """Grading a code: pinned verify_params failure transcripts, the module
-boundary, and the rank conditions over random valid coefficient sets."""
+boundary, and the rank conditions, repair and decode over random valid
+coefficient sets."""
 
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,7 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import hadamard_msr
 from hadamard_msr import repair, verify
-from hadamard_msr.codec import CodeParams, _candidate_pairs, _cross_compatible
+from hadamard_msr.codec import (
+    CodeParams,
+    _candidate_pairs,
+    _cross_compatible,
+    decode,
+    encode_blocks,
+)
+from hadamard_msr.repair import STRATEGIES, build_repair_plan, execute_repair
 from hadamard_msr.field import is_prime
 from hadamard_msr.verify import verify_params, verify_rank_conditions
 
@@ -114,3 +123,24 @@ def test_random_valid_sets_pass(case):
     assert report.ok
     assert len(report.conditions) == k * (k + 2)
     assert all(c.methods_agree for c in report.conditions)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(valid_sets())
+def test_random_valid_sets_repair_and_decode(case):
+    """Every node repairs to its encoded rows under both strategies, and
+    every pattern of at most two erasures decodes to the codewords."""
+    k, q, a, b = case
+    params = CodeParams(k, q, a, b)
+    blocks = np.random.default_rng(q).integers(0, q, size=(3, k, params.n))
+    words = encode_blocks(params, blocks)
+    nodes = range(1, k + 3)
+    for node in nodes:
+        erased = words.copy()
+        erased[:, node - 1] = 0
+        for strategy in STRATEGIES:
+            rebuilt = execute_repair(build_repair_plan(params, node, strategy), erased)
+            assert np.array_equal(rebuilt, words[:, node - 1]), (node, strategy)
+    for lost in (c for r in range(3) for c in combinations(nodes, r)):
+        available = {n: words[:, n - 1] for n in nodes if n not in lost}
+        assert np.array_equal(decode(params, available), words), lost
