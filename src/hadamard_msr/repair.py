@@ -116,8 +116,10 @@ class CompiledRepair:
     payloads P (..., k+1, N/2): payload position m feeds only the outputs
     first[m] and second[m], so both are pair_weights[m] @ P[..., :, m], and
     `unpair` puts the pairs back in column order.  In the Sylvester basis
-    `hadamard` holds the Kronecker factors of H, the Sylvester matrix of
-    order N/2 (None in the standard basis): the download ends in H, and
+    `hadamard` holds hadamard_factors(N/2), the Kronecker factors of H, the
+    Sylvester matrix of order N/2 (None in the standard basis): H itself
+    where it fits the table bound (k <= 3), so each transform is one
+    matmul, and its balanced split above.  The download ends in H, and
     recover starts with it, since H^-1 = H / (N/2) and the 1/(N/2) is folded
     into `pair_weights`.  Every partial sum stays below (k+1) (N/2) q^2, and
     no table has more than (k+1) N entries.

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -118,8 +120,9 @@ class TestFastTransform:
 
     @pytest.mark.parametrize("k", range(0, 9))
     def test_stacked_rows_match_dense(self, k):
-        # k = 0 is a length-1 row, where both Kronecker factors are 1x1 and
-        # the transform is the identity
+        # k = 0 is a length-1 row, whose one factor is [[1]], so the
+        # transform is the identity; k <= 3 runs one matmul by the whole
+        # matrix, k >= 4 the two-factor split
         n = 1 << k
         dense = sylvester(k) if k else np.ones((1, 1), dtype=np.int64)
         z = np.random.default_rng(k).integers(-6, 7, size=(2, 3, n), dtype=np.int64)
@@ -148,13 +151,21 @@ class TestFastTransform:
 
     @pytest.mark.parametrize("k", range(0, 11))
     def test_factors_split_the_sylvester_matrix(self, k):
-        # one cached, read-only split per length, at most 2^ceil(k/2) square
-        h_a, h_b = hadamard_factors(1 << k)
+        # one cached, read-only set of factors per length n: the whole
+        # matrix when it fits a plan's table bound, n^2 <= 2n (log2 n + 1),
+        # else the balanced split, at most 2^ceil(k/2) square
+        n = 1 << k
+        factors = hadamard_factors(n)
         dense = sylvester(k) if k else np.ones((1, 1), dtype=np.int64)
-        assert np.array_equal(np.kron(h_a, h_b), dense)
-        assert (h_a.shape[0], h_b.shape[0]) == (1 << k // 2, 1 << (k - k // 2))
-        assert not (h_a.flags.writeable or h_b.flags.writeable)
-        assert all(a is b for a, b in zip(hadamard_factors(1 << k), (h_a, h_b)))
+        assert np.array_equal(functools.reduce(np.kron, factors), dense)
+        orders = tuple(h.shape[0] for h in factors)
+        if n * n <= 2 * n * (k + 1):
+            assert k <= 3 and orders == (n,)
+        else:
+            assert k >= 4 and orders == (1 << k // 2, 1 << (k - k // 2))
+        assert not any(h.flags.writeable for h in factors)
+        again = hadamard_factors(n)
+        assert len(again) == len(factors) and all(a is b for a, b in zip(again, factors))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import fields, is_dataclass, replace
 
@@ -462,7 +463,7 @@ def fused_map(plan):
         out[np.arange(n), i * half + m] = run.pair_weights[m, t, i]
     if run.hadamard is None:
         return out
-    h = np.kron(*run.hadamard)
+    h = functools.reduce(np.kron, run.hadamard)
     assert np.array_equal(h, sylvester(half.bit_length() - 1))
     return out @ np.kron(np.eye(len(run.order), dtype=np.int64), h) % q
 
@@ -538,12 +539,15 @@ class TestCompiledMaps:
                     repaired = execute_repair(plan, wiped)
                     assert np.array_equal(repaired, word[..., node - 1, :]), (node, plan.strategy)
 
+    @pytest.mark.parametrize("k", range(2, 9))
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_execution_holds_no_square_table(self, strategy, rng):
-        # at k=8 an N x N table has 512^2 entries; neither repairing nor
+    def test_execution_holds_no_square_table(self, strategy, k, searched_params, rng):
+        # no table over (k+1) N entries: at k=8 an N x N table has 512^2;
+        # the dense Sylvester factor H_8 is exactly the k=3 bound, 64, and
+        # a dense H_16 at k=4 would break it; neither repairing nor
         # counting leaves one in a fresh plan, derived fields included
-        params = search_params(8)
-        k, n = params.k, params.n
+        params = params_for(k, searched_params) if k <= 6 else search_params(k)
+        n = params.n
         word = encode(params, rng.integers(0, params.q, size=(k, n)))
         for node in range(1, k + 3):
             plan = replace(build_repair_plan(params, node, strategy))
@@ -554,6 +558,31 @@ class TestCompiledMaps:
             assert {"compiled", "_counts"} <= vars(plan).keys()
             held = [a.size for a in arrays_in(vars(plan))]
             assert len(held) > len(sizes) and max(held) <= (k + 1) * n, (node, max(held))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_congruent_inputs_repair_identically(self, k, searched_params, rng):
+        # the download reduces mod q before any transform, so symbols off
+        # [0, q) by multiples of q cannot change a payload or a repair; the
+        # largest shift keeps the signed sum of two scaled symbols within
+        # 2^62, and only that reduction keeps the N/2-term transform sums
+        # that follow within int64
+        params = params_for(k, searched_params) if k <= 6 else search_params(k)
+        q, n = params.q, params.n
+        word = encode_blocks(params, rng.integers(0, q, size=(3, k, n)))
+        big = q * (2**61 // (q * q))
+        for node in range(1, k + 3):
+            for strategy in STRATEGIES:
+                plan = build_repair_plan(params, node, strategy)
+                repaired = execute_repair(plan, word)
+                assert np.array_equal(repaired, word[:, node - 1]), (node, strategy)
+                for shift in (q, -q, 1000 * q, big, -big):
+                    out = execute_repair(plan, word + shift)
+                    assert np.array_equal(out, repaired), (node, strategy, shift)
+                for helper in plan.helper_matrices:
+                    rows = word[:, helper - 1]
+                    shipped = plan.helper_payload(helper, rows)
+                    assert np.array_equal(plan.helper_payload(helper, rows + q), shipped)
+                    assert np.array_equal(plan.helper_payload(helper, rows[0] + q), shipped[0])
 
 
 def arrays_in(value):
