@@ -2,12 +2,15 @@
 the encode, kill, repair, decode and verify commands behind the CLI.
 
 A cluster is a directory holding a plain-text manifest plus one segment file
-per node (node-01.seg .. node-{k+2}.seg).  A segment is one header followed
-by one record of N symbols per chunk, and every file is written to a sibling
-temp file first and then renamed into place.  A node is dead when its segment
-is not a file; ClusterState.load stats each segment once and records the dead
-nodes.  Killing a node renames its segment to a tombstone; repair rebuilds
-the segment from the other nodes' segments, shipping exactly N/2 symbols per
+per node (node-01.seg .. node-{k+2}.seg).  A segment (format v3) is one
+header followed by the node's N symbols per chunk at the node's own width:
+bits_per_symbol(q) for a systematic node, the width its input is packed at,
+and the bits of q - 1 for a parity node.  write_segment and read_segment
+alone know the layout.  Every file is written to a sibling temp file first
+and then renamed into place.  A node is dead when its segment is not a file;
+ClusterState.load stats each segment once and records the dead nodes.
+Killing a node renames its segment to a tombstone; repair rebuilds the
+segment from the other nodes' segments, shipping exactly N/2 symbols per
 chunk from each helper, and then drops the tombstone; decode tolerates any
 two dead nodes.
 
@@ -18,7 +21,8 @@ parse of the manifest's text is memoized, so an unchanged manifest is not
 parsed again in the same process.  On top of that, kill renames one segment;
 repair opens the k+1 helper segments and one temp file, renames it into
 place and unlinks the tombstone; decode opens each live segment and the
-output file, if any.
+output file, if any.  Encode opens its input once, which also tells a
+missing input from a directory, and tests for an existing manifest once.
 
 Errors carry the process exit code the CLI should use: 1 for usage problems,
 2 for integrity/verification failures, 3 when the data is unrecoverable.
@@ -43,7 +47,7 @@ from .repair import STRATEGIES, RepairPlan, build_repair_plan
 from .verify import verify_params
 
 MAGIC = b"HMSR"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.txt"
 DEAD_SUFFIX = ".dead"
 REPAIR_WINDOW = 1024  # chunks per recover call in cmd_repair, bounding its temporaries
@@ -96,20 +100,64 @@ def _open_nonblocking(path, flags):
     return os.open(path, flags | os.O_NONBLOCK)
 
 
+def _width(params: CodeParams, node: int) -> int:
+    """Bits per stored symbol of `node`: a systematic node keeps the width
+    its input is packed at, and a parity node the width of q - 1."""
+    return bits_per_symbol(params.q) if node <= params.k else (params.q - 1).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _plane_table(bit: int, dtype) -> np.ndarray:
+    """(256, 8) lookup from a bit-plane byte to its 8 symbols' share of
+    weight 2**bit, the first symbol in the byte's high bit as np.packbits
+    puts it: one take unpacks a plane and places it."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    table = bits.astype(dtype) << bit
+    table.flags.writeable = False
+    return table
+
+
 def write_segment(path, params: CodeParams, node: int, rows) -> None:
-    """Store a node's (chunks, N) symbol rows; row c is chunk c."""
-    rows = np.asarray(rows, dtype=np.int64)
+    """Store a node's (chunks, N) symbol rows; row c is chunk c.
+
+    The body holds the M = chunks*N symbols in record order at the node's
+    width w (_width): w // 8 byte planes, low byte first, then w % 8 bit
+    planes of the bits above them, lowest first, each packed by np.packbits
+    (first symbol in the high bit).  Chunk c starts at byte 14 + p*M + c*N
+    in byte plane p and at 14 + (w//8)*M + j*M/8 + c*N/8 in bit plane j,
+    whole bytes because N >= 8.  A symbol the node cannot hold raises
+    IntegrityError before anything is written: a systematic one at or above
+    2**w, which no input byte stream packs to, or a parity one outside F_q.
+    """
+    rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != params.n:
         raise ValueError(f"segment rows must hold {params.n} symbols each")
+    width = _width(params, node)
+    limit = 1 << width if node <= params.k else params.q
+    # 16 bits hold every element of F_q (q < 2**15), and a negative symbol
+    # down to -2**15 wraps to 2**15 or more, above any limit
+    narrow = rows.astype(np.uint16)
+    if narrow.size and narrow.max() >= limit:
+        bad = rows.flat[int(np.argmax(narrow >= limit))]
+        what = f"not below 2**{width}" if node <= params.k else f"outside F_{params.q}"
+        raise IntegrityError(f"node {node} symbol {bad} is {what}; {path} not written")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, params.k, params.q, node, rows.shape[0])
-    _write_replace(path, header + rows.astype("<u2").tobytes())
+    # w <= 15, so there is one byte plane (the low byte) from 8 bits up
+    planes = [header, narrow.astype(np.uint8)] if width >= 8 else [header]
+    for bit in range(width // 8 * 8, width):
+        planes.append(np.packbits((narrow & (1 << bit)) != 0))
+    _write_replace(path, b"".join(planes))
 
 
 def read_segment(path, params: CodeParams, node: int, chunks: int) -> np.ndarray:
     """Parse and validate one node's segment; returns its (chunks, N) rows,
-    read-only and as stored ("<u2")."""
+    read-only, as uint8 at widths up to 8 bits and uint16 above.
+
+    The file's size must match the manifest's chunk count before any array
+    is built.  A parity node's symbols are range-checked against q; a
+    systematic node's width cannot hold a symbol outside F_q."""
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=0) as f:
             raw = f.read()
     except FileNotFoundError:
         raise IntegrityError(f"missing segment {path}") from None
@@ -124,15 +172,26 @@ def read_segment(path, params: CodeParams, node: int, chunks: int) -> np.ndarray
         raise IntegrityError(f"segment {path} belongs to a k={k}, q={q} code")
     if node_id != node:
         raise IntegrityError(f"segment {path} labeled node={node_id}, expected node={node}")
+    width, symbols = _width(params, node), chunks * params.n
     # checked before any array of `chunks` rows exists: the manifest may be tampered
-    if count != chunks or len(raw) != _HEADER.size + 2 * chunks * params.n:
+    if count != chunks or len(raw) != _HEADER.size + symbols * width // 8:
         raise IntegrityError(
             f"segment {path} has wrong size for {chunks} chunks ({count} in its header)"
         )
-    rows = np.frombuffer(raw, dtype="<u2", offset=_HEADER.size)
-    if rows.size and rows.max() >= params.q:
+    body = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
+    dtype = np.uint8 if width <= 8 else np.uint16
+    # the low byte plane (a view of the file's bytes at 8 bits), else zeros
+    rows = body[:symbols].astype(dtype, copy=False) if width >= 8 else np.zeros(symbols, dtype)
+    at = width // 8 * symbols
+    for bit in range(width // 8 * 8, width):
+        plane = body[at : at + symbols // 8]
+        rows |= _plane_table(bit, dtype).take(plane, axis=0).reshape(-1)
+        at += symbols // 8
+    if node > params.k and rows.size and rows.max() >= params.q:
         raise IntegrityError(f"segment {path} holds symbols outside F_{params.q}")
-    return rows.reshape(chunks, params.n)
+    rows = rows.reshape(chunks, params.n)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -284,34 +343,38 @@ def cmd_encode(
 
     The manifest is saved last, so an interrupted encode leaves no cluster.
     """
-    input_path = Path(input_path)
-    out_dir = Path(out_dir)
-    if not input_path.exists():
-        raise UsageError(f"input file {input_path} not found")
-    if input_path.is_dir():
-        raise UsageError(f"input {input_path} is a directory, not a file")
-    if (out_dir / MANIFEST_NAME).exists():
-        raise UsageError(f"{out_dir} already holds a cluster")
-    if demo:
-        if q is not None and q != DEMO_COEFFICIENTS.get(k, (None,))[0]:
-            raise UsageError(f"--q {q} conflicts with the demo profile for k={k}")
-        try:
-            params = demo_params(k)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    else:
-        try:
-            params = search_params(k, q)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
-    with open(input_path, "rb") as f:
+    # str paths for the file calls, naming what Path("") would: the working
+    # directory; a Path only names an argument in a message
+    source, out_dir = os.fspath(input_path) or ".", os.fspath(out_dir) or "."
+    try:
+        f = open(source, "rb")  # the one open classifies the input
+    except OSError as exc:  # missing, under a non-directory, a loop or a directory
+        if exc.errno in (ENOENT, ENOTDIR, ELOOP):
+            raise UsageError(f"input file {Path(source)} not found") from None
+        if exc.errno == EISDIR:
+            raise UsageError(f"input {Path(source)} is a directory, not a file") from None
+        raise
+    with f:
+        if os.path.exists(_in_root(out_dir, MANIFEST_NAME)):
+            raise UsageError(f"{Path(out_dir)} already holds a cluster")
+        if demo:
+            if q is not None and q != DEMO_COEFFICIENTS.get(k, (None,))[0]:
+                raise UsageError(f"--q {q} conflicts with the demo profile for k={k}")
+            try:
+                params = demo_params(k)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+        else:
+            try:
+                params = search_params(k, q)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         data = f.read()
     blocks = codec.chunk_file(data, params)
     words = codec.with_parities(params, blocks)  # packed symbols are below 2**bits <= q
     manifest = Manifest(params=params, chunk_count=blocks.shape[0], original_length=len(data))
     os.makedirs(out_dir, exist_ok=True)
-    state = ClusterState(root=out_dir, manifest=manifest)
+    state = ClusterState(root=Path(out_dir), manifest=manifest)
     for node in range(1, params.k + 3):
         write_segment(state._segment_file(node), params, node, words[:, node - 1])
     manifest.save(out_dir)
@@ -378,7 +441,9 @@ class RepairSummary:
 def cmd_repair(
     root, node: int, strategy: str = "new", payload_reader=read_repair_payload
 ) -> RepairSummary:
-    """Rebuild a dead node's segment from the k+1 live ones."""
+    """Rebuild a dead node's segment from the k+1 live ones.  A rebuilt
+    symbol the node cannot hold (see write_segment) raises IntegrityError
+    before anything is written, and the tombstone stays."""
     state = ClusterState.load(root)
     state.check_node(node)
     if strategy not in STRATEGIES:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hadamard_msr import cluster, codec, metering
+from hadamard_msr.cli import main
 from hadamard_msr.cluster import (
     ClusterState,
     IntegrityError,
@@ -61,14 +62,68 @@ def bury(state, gone):
     return lambda: [tombstone(state, node).rename(state.segment_path(node)) for node in gone]
 
 
-# SHA-256 of the five segments, in node order, of a k=3 cluster of
+def width(params, node):
+    """The format's width rule, stated apart from the code: a systematic
+    node stores its packing width, a parity node the bits of q - 1."""
+    return bits_per_symbol(params.q) if node <= params.k else (params.q - 1).bit_length()
+
+
+def reference_body(symbols, w):
+    """The documented body of a segment, built from Python ints: w // 8 byte
+    planes, low byte first, then the w % 8 bits above them, one bit plane
+    each and lowest first, eight symbols to a byte, the first in the high
+    bit."""
+    symbols = [int(s) for s in symbols]
+    body = b"".join(bytes((s >> 8 * p) & 0xFF for s in symbols) for p in range(w // 8))
+    for bit in range(8 * (w // 8), w):
+        plane = "".join(str(s >> bit & 1) for s in symbols)
+        body += int(plane or "0", 2).to_bytes(len(symbols) // 8, "big")
+    return body
+
+
+def symbol_bits(w, m, i):
+    """(byte offset, mask, weight) of each bit of symbol i in a segment of m
+    symbols at w bits, from the offsets the README gives: chunk c starts at
+    byte 14 + p*M + c*N in byte plane p and at 14 + (w//8)*M + j*M/8 + c*N/8
+    in bit plane j."""
+    out = [(14 + p * m + i, 1 << b, 1 << (8 * p + b)) for p in range(w // 8) for b in range(8)]
+    for j in range(w % 8):
+        at = 14 + (w // 8) * m + j * m // 8 + i // 8
+        out.append((at, 0x80 >> i % 8, 1 << (8 * (w // 8) + j)))
+    return out
+
+
+def get_symbol(raw, w, m, i):
+    return sum(weight for at, mask, weight in symbol_bits(w, m, i) if raw[at] & mask)
+
+
+def set_symbol(raw: bytearray, w, m, i, value):
+    for at, mask, weight in symbol_bits(w, m, i):
+        raw[at] = raw[at] | mask if value & weight else raw[at] & ~mask
+
+
+def encode_with_256(tmp_path):
+    """A k=3, q=257 cluster and the codewords of its blocks with a 256 in
+    node 1's chunk 1: a field element that no input byte packs to, so only
+    parities that encode it can rebuild it."""
+    p = search_params(3, 257)
+    data = bytes(range(200))
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    state = cmd_encode(src, tmp_path / "cluster", k=3, q=257)
+    blocks = codec.chunk_file(data, p)
+    blocks[1, 0, 3] = 256
+    return state, p, codec.encode_blocks(p, blocks)
+
+
+# SHA-256 of the five format-v3 segments, in node order, of a k=3 cluster of
 # SEGMENT_DATA (5,120 bytes): pinned so that the encode kernel on packed
 # symbols writes exactly what the reducing encode_blocks path wrote
 SEGMENT_DATA = b"".join(hashlib.sha256(i.to_bytes(4, "little")).digest() for i in range(160))
 SEGMENT_SHA256 = {
-    11: "795b040c08904d4e41e07792aed0eef596a13ecbbf60c4a7ce530f90a284f121",
-    131: "114d88c50c243e6bdf09fabe15952a3c6c884c69c0a75795dc24ac773da73161",
-    257: "7f671fc3a0b1826cd8acfdd6dff5c28e2f1b5c5cad89f609a6a9ce12b1d22612",
+    11: "c88a974106b1be0538607c3fa94ec383288629bbd2c43d471bb623c820c8f54a",
+    131: "324fa46fe67277c07974ac4cc866adcc9e5b5b0a91c350110925c1956e29c170",
+    257: "1fe1be73f6d150183c967c6eb121ab7bb3973c485e726767bb3c90c5bf4f84e2",
 }
 
 
@@ -84,14 +139,19 @@ class TestShardFormat:
 
     def test_header_layout(self, tmp_path, demo_k2):
         path = tmp_path / "x.seg"
-        rows = np.arange(16).reshape(2, 8) % 7
-        write_segment(path, demo_k2, 1, rows)
-        raw = path.read_bytes()
-        assert raw[:4] == b"HMSR"
-        magic, version, k, q, node, count = struct.unpack_from("<4sBBHHI", raw)
-        assert (version, k, q, node, count) == (2, 2, 7, 1, 2)
-        assert len(raw) == 14 + 2 * 2 * 8
-        assert raw[14:] == rows.astype("<u2").tobytes()  # row c is chunk c
+        # at q=7 a systematic node stores 2-bit symbols, a parity node 3-bit ones
+        for node, w, limit in [(1, 2, 4), (3, 3, 7)]:
+            rows = np.arange(16).reshape(2, 8) % limit
+            write_segment(path, demo_k2, node, rows)
+            raw = path.read_bytes()
+            assert raw[:4] == b"HMSR"
+            magic, version, k, q, node_id, count = struct.unpack_from("<4sBBHHI", raw)
+            assert (version, k, q, node_id, count) == (3, 2, 7, node, 2)
+            assert w == width(demo_k2, node)
+            assert len(raw) == 14 + 2 * 8 * w // 8
+            assert raw[14:] == reference_body(rows.ravel(), w)  # row c is chunk c
+            for i, value in enumerate(rows.ravel()):
+                assert get_symbol(raw, w, 16, i) == value
 
     def test_wrong_identity_rejected(self, tmp_path, demo_k2, rng):
         path = tmp_path / "x.seg"
@@ -101,65 +161,125 @@ class TestShardFormat:
 
     def test_wrong_code_rejected(self, tmp_path, demo_k2, demo_k3, rng):
         path = tmp_path / "x.seg"
-        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
+        write_segment(path, demo_k2, 3, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
         with pytest.raises(IntegrityError, match="belongs to"):
-            read_segment(path, demo_k3, 1, 1)
+            read_segment(path, demo_k3, 3, 1)
 
     def test_truncation_rejected(self, tmp_path, demo_k2, rng):
         path = tmp_path / "x.seg"
-        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
+        write_segment(path, demo_k2, 3, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
         raw = path.read_bytes()
         path.write_bytes(raw[:10])
         with pytest.raises(IntegrityError, match="truncated"):
-            read_segment(path, demo_k2, 1, 1)
+            read_segment(path, demo_k2, 3, 1)
 
     def test_bad_magic_rejected(self, tmp_path, demo_k2, rng):
         path = tmp_path / "x.seg"
-        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
+        write_segment(path, demo_k2, 3, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
         raw = bytearray(path.read_bytes())
         raw[0] = ord("X")
         path.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError, match="magic"):
-            read_segment(path, demo_k2, 1, 1)
+            read_segment(path, demo_k2, 3, 1)
 
     def test_bad_version_rejected(self, tmp_path, demo_k2, rng):
         path = tmp_path / "x.seg"
-        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
+        write_segment(path, demo_k2, 3, rng.integers(0, 7, size=(1, 8), dtype=np.int64))
         raw = bytearray(path.read_bytes())
-        raw[4] = 1  # format v1 is not read
-        path.write_bytes(bytes(raw))
-        with pytest.raises(IntegrityError, match="unsupported version 1"):
-            read_segment(path, demo_k2, 1, 1)
+        for old in (2, 1):  # formats v2 and v1 are not read
+            raw[4] = old
+            path.write_bytes(bytes(raw))
+            with pytest.raises(IntegrityError, match=f"unsupported version {old}"):
+                read_segment(path, demo_k2, 3, 1)
 
     def test_size_and_chunk_count_mismatch_rejected(self, tmp_path, demo_k2, rng):
+        for node in (1, 3):  # 2-bit and 3-bit symbols at q=7
+            self.check_size_mismatch(tmp_path, demo_k2, rng, node)
+
+    @staticmethod
+    def check_size_mismatch(tmp_path, demo_k2, rng, node):
         path = tmp_path / "x.seg"
-        write_segment(path, demo_k2, 1, rng.integers(0, 7, size=(3, 8), dtype=np.int64))
+        limit = 1 << width(demo_k2, node) if node <= 2 else 7
+        write_segment(path, demo_k2, node, rng.integers(0, limit, size=(3, 8), dtype=np.int64))
         raw = path.read_bytes()
+        record = 8 * width(demo_k2, node) // 8  # bytes per chunk, over all planes
+        assert len(raw) == 14 + 3 * record
         # the manifest expects another chunk count than the segment holds
         for chunks in (2, 4, 10**12):
             with pytest.raises(IntegrityError, match="wrong size"):
-                read_segment(path, demo_k2, 1, chunks)
-        # one symbol short of three records
-        path.write_bytes(raw[:-2])
+                read_segment(path, demo_k2, node, chunks)
+        # one byte short of three records, and one byte over
+        for body in (raw[:-1], raw + b"\0"):
+            path.write_bytes(body)
+            with pytest.raises(IntegrityError, match="wrong size"):
+                read_segment(path, demo_k2, node, 3)
+        # one record's bytes dropped and the header count left at three
+        path.write_bytes(raw[:-record])
         with pytest.raises(IntegrityError, match="wrong size"):
-            read_segment(path, demo_k2, 1, 3)
-        # one record dropped and the header count left at three
-        path.write_bytes(raw[:-16])
-        with pytest.raises(IntegrityError, match="wrong size"):
-            read_segment(path, demo_k2, 1, 2)
+            read_segment(path, demo_k2, node, 2)
         # the header count changed, the records left as they are
         path.write_bytes(raw[:10] + struct.pack("<I", 2) + raw[14:])
         with pytest.raises(IntegrityError, match="wrong size"):
-            read_segment(path, demo_k2, 1, 3)
+            read_segment(path, demo_k2, node, 3)
 
-    def test_out_of_field_symbol_rejected(self, tmp_path, demo_k2):
+    def test_out_of_field_symbol_rejected(self, tmp_path):
+        # a parity slot of w bits holds values in [q, 2**w): the reader refuses them
+        for q, bad in [(7, 7), (257, 300), (257, 511)]:
+            p = demo_params(2) if q == 7 else search_params(3, q)
+            node, m = p.k + 2, 2 * p.n
+            path = tmp_path / "x.seg"
+            write_segment(path, p, node, np.zeros((2, p.n), dtype=np.int64))
+            raw = bytearray(path.read_bytes())
+            set_symbol(raw, width(p, node), m, m - 1, bad)  # last symbol of chunk 1
+            path.write_bytes(bytes(raw))
+            with pytest.raises(IntegrityError, match=f"outside F_{q}$"):
+                read_segment(path, p, node, 2)
+            set_symbol(raw, width(p, node), m, m - 1, q - 1)
+            path.write_bytes(bytes(raw))
+            assert read_segment(path, p, node, 2)[1, -1] == q - 1
+
+    @pytest.mark.parametrize("q", [7, 11, 17, 67, 131, 257, 521, 1031, 2053, 4099, 8209, 32749])
+    @pytest.mark.parametrize("chunks", [0, 1, 3, 171])
+    def test_every_width_round_trips(self, tmp_path, q, chunks):
+        # systematic widths 2, 3, 4, 6, 7 and 8, parity widths 3, 4, 5 and 7 to
+        # 15: each at random values and at its largest
+        p = codec.CodeParams(2, q, (1, 1), (1, 1), check=False)
+        rng = np.random.default_rng([q, chunks])
+        for node in (1, 3):
+            w = width(p, node)
+            top = (1 << w) - 1 if node <= p.k else q - 1
+            path = tmp_path / f"node-{node}.seg"
+            for rows in (
+                rng.integers(0, top + 1, size=(chunks, p.n)),
+                np.full((chunks, p.n), top),
+            ):
+                write_segment(path, p, node, rows)
+                raw = path.read_bytes()
+                assert len(raw) == 14 + chunks * p.n * w // 8
+                assert raw[14:] == reference_body(rows.ravel(), w)
+                back = read_segment(path, p, node, chunks)
+                assert back.dtype == (np.uint8 if w <= 8 else np.uint16)
+                assert not back.flags.writeable
+                assert np.array_equal(back, rows)
+
+    @pytest.mark.parametrize("q", [7, 257])
+    def test_symbol_a_node_cannot_hold_refused(self, tmp_path, q):
+        # nothing is written: no segment, no temp file
+        p = demo_params(2) if q == 7 else search_params(3, q)
         path = tmp_path / "x.seg"
-        write_segment(path, demo_k2, 1, np.zeros((2, 8), dtype=np.int64))
-        raw = bytearray(path.read_bytes())
-        raw[-2:] = (9).to_bytes(2, "little")  # 9 >= q = 7, last symbol of chunk 1
-        path.write_bytes(bytes(raw))
-        with pytest.raises(IntegrityError, match="outside"):
-            read_segment(path, demo_k2, 1, 2)
+        sys_top, parity_top = (1 << bits_per_symbol(q)) - 1, q - 1
+        cases = [
+            (1, sys_top + 1, f"not below 2\\*\\*{bits_per_symbol(q)}"),
+            (1, -1, f"not below 2\\*\\*{bits_per_symbol(q)}"),
+            (p.k + 1, parity_top + 1, f"outside F_{q}"),
+            (p.k + 2, -1, f"outside F_{q}"),
+        ]
+        for node, value, match in cases:
+            rows = np.zeros((3, p.n), dtype=np.int64)
+            rows[2, 5] = value
+            with pytest.raises(IntegrityError, match=f"^node {node} symbol {value} is {match};"):
+                write_segment(path, p, node, rows)
+            assert list(tmp_path.iterdir()) == []
 
     def test_missing_file(self, tmp_path, demo_k2):
         with pytest.raises(IntegrityError, match="missing"):
@@ -179,10 +299,12 @@ class TestManifest:
 
     def test_v1_manifest_refused(self, tmp_path, demo_k2):
         Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
-        text = (tmp_path / "manifest.txt").read_text().replace("version: 2", "version: 1")
-        (tmp_path / "manifest.txt").write_text(text)
-        with pytest.raises(IntegrityError, match="unsupported manifest version 1"):
-            Manifest.load(tmp_path)
+        text = (tmp_path / "manifest.txt").read_text()
+        assert "version: 3\n" in text
+        for old in (2, 1):  # neither v2 nor v1 clusters are read
+            (tmp_path / "manifest.txt").write_text(text.replace("version: 3", f"version: {old}"))
+            with pytest.raises(IntegrityError, match=f"unsupported manifest version {old}"):
+                Manifest.load(tmp_path)
 
     def test_malformed_line(self, tmp_path, demo_k2):
         Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
@@ -325,8 +447,9 @@ class TestEncode:
         assert chunks == -(-len(data) * 8 // (2 * 8 * 2))  # bits / (k*N*packing)
         names = sorted(p.name for p in state.root.iterdir())
         assert names == ["manifest.txt"] + [f"node-0{n}.seg" for n in range(1, 5)]
-        for node in range(1, 5):
-            assert state.segment_path(node).stat().st_size == 14 + chunks * 8 * 2
+        # q=7: systematic symbols take 2 bits, parity symbols 3
+        for node, w in zip(range(1, 5), (2, 2, 3, 3)):
+            assert state.segment_path(node).stat().st_size == 14 + chunks * 8 * w // 8
         assert ClusterState.load(state.root).dead == ()
 
     def test_footprint_8kib_k3(self, tmp_path):
@@ -337,14 +460,52 @@ class TestEncode:
         chunks, n = state.manifest.chunk_count, state.params.n
         names = sorted(p.name for p in state.root.iterdir())
         assert names == ["manifest.txt"] + [f"node-0{n}.seg" for n in range(1, 6)]  # k+3
+        # q=257: a systematic node stores bytes, a parity node 9 bits a symbol
+        assert (chunks, n) == (171, 16)
+        sizes = {p.name: p.stat().st_size for p in state.root.iterdir()}
         for node in range(1, 6):
-            assert state.segment_path(node).stat().st_size == 14 + chunks * n * 2
+            w = 8 if node <= 3 else 9
+            assert sizes[f"node-0{node}.seg"] == 14 + chunks * n * w // 8
+        assert [sizes[f"node-0{node}.seg"] for node in range(1, 6)] == [2750] * 3 + [3092] * 2
+        assert sizes["manifest.txt"] == 95
+        assert sum(sizes.values()) == 14529  # 1.774 stored bytes per input byte
 
     def test_existing_cluster_refused(self, tmp_path, payload):
         make_cluster(tmp_path, payload)
         path, _ = payload
         with pytest.raises(UsageError, match="already holds"):
             cmd_encode(path, tmp_path / "cluster", k=2, demo=True)
+        # the message names the directory as a Path does, trailing slash dropped
+        with pytest.raises(UsageError, match=f"^{tmp_path / 'cluster'} already holds a cluster$"):
+            cmd_encode(str(path), f"{tmp_path / 'cluster'}/", k=2, demo=True)
+
+    @pytest.mark.parametrize(
+        "kind", ["missing", "under a file", "dangling symlink", "symlink loop", "directory"]
+    )
+    def test_input_classified_by_its_open(self, tmp_path, payload, kind):
+        # the one open of the input tells these apart, with the messages the
+        # stat checks gave, and before an existing cluster is noticed
+        path, _ = payload
+        make_cluster(tmp_path, payload)
+        bad = {
+            "missing": tmp_path / "absent.bin",
+            "under a file": path / "x",
+            "dangling symlink": tmp_path / "dangling",
+            "symlink loop": tmp_path / "loop",
+            "directory": tmp_path,
+        }[kind]
+        if kind == "dangling symlink":
+            bad.symlink_to(tmp_path / "absent.bin")
+        elif kind == "symlink loop":
+            bad.symlink_to(bad)
+        if kind == "directory":
+            expected = f"input {bad} is a directory, not a file"
+        else:
+            expected = f"input file {bad} not found"
+        for arg in (bad, str(bad)):
+            with pytest.raises(UsageError) as err:
+                cmd_encode(arg, tmp_path / "cluster", k=2, demo=True)
+            assert str(err.value) == expected
 
     def test_missing_input_refused(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
@@ -384,11 +545,18 @@ class TestEncode:
         state = cmd_encode(src, tmp_path / "cluster", k=3, q=q)
         p, chunks = state.params, state.manifest.chunk_count
         words = codec.encode_blocks(p, codec.chunk_file(SEGMENT_DATA, p))
+        padded = SEGMENT_DATA.ljust(chunks * p.chunk_bytes, b"\0")
         digest = hashlib.sha256()
         for node in range(1, p.k + 3):
-            digest.update(state.segment_path(node).read_bytes())
+            raw = state.segment_path(node).read_bytes()
+            digest.update(raw)
             rows = read_segment(state.segment_path(node), p, node, chunks)
             assert np.array_equal(rows, words[:, node - 1]), node
+            assert raw[14:] == reference_body(words[:, node - 1].ravel(), width(p, node))
+            if q == 257 and node <= p.k:
+                # a systematic node stores its slice of the padded input verbatim
+                slices = np.frombuffer(padded, np.uint8).reshape(chunks, p.k, p.n)
+                assert raw[14:] == slices[:, node - 1].tobytes()
         assert digest.hexdigest() == SEGMENT_SHA256[q]
 
 
@@ -454,6 +622,23 @@ class TestRepair:
             assert not tombstone(state, node).exists()
             assert len(list(state.root.iterdir())) == 2 + 3
             assert summary.per_chunk_downloaded == 3 * 4  # (k+1) * N/2
+
+    @pytest.mark.parametrize("strategy", ["new", "original"])
+    def test_symbol_outside_a_byte_not_written(self, tmp_path, capsys, strategy):
+        # repair rebuilds node 1's 256 from the parities, then exits 2,
+        # writes no segment and keeps the tombstone
+        state, p, words = encode_with_256(tmp_path)
+        cmd_kill(state.root, 1)
+        for node in range(2, p.k + 3):
+            write_segment(state.segment_path(node), p, node, words[:, node - 1])
+        grave = tombstone(state, 1).read_bytes()
+        names = sorted(f.name for f in state.root.iterdir())
+        assert main(["repair", str(state.root), "1", "--strategy", strategy]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 1 symbol 256 is not below 2**8; ")
+        assert sorted(f.name for f in state.root.iterdir()) == names  # no segment, no temp
+        assert tombstone(state, 1).read_bytes() == grave
+        assert ClusterState.load(state.root).dead == (1,)
 
     def test_alive_node_refused(self, tmp_path, payload):
         state, _ = make_cluster(tmp_path, payload)
@@ -770,20 +955,20 @@ class TestDecode:
                 restore()
 
     def test_symbol_outside_a_byte_refused(self, tmp_path):
-        # at q=257 a stored or rebuilt 256 is a field element, so every
-        # syndrome passes, but no byte: unchunk refuses it before the cast
-        p = search_params(3, 257)
-        data = bytes(range(200))
-        src = tmp_path / "input.bin"
-        src.write_bytes(data)
-        state = cmd_encode(src, tmp_path / "cluster", k=3, q=257)
-        blocks = codec.chunk_file(data, p)
-        blocks[1, 0, 3] = 256
-        words = codec.encode_blocks(p, blocks)
-        for node in range(1, p.k + 3):
+        # at q=257 a rebuilt 256 is a field element, so every syndrome
+        # passes, but no byte: unchunk refuses it before the cast.  A
+        # systematic segment cannot store it at all.
+        state, p, words = encode_with_256(tmp_path)
+        before = state.segment_path(1).read_bytes()
+        with pytest.raises(IntegrityError, match="^node 1 symbol 256 is not below 2\\*\\*8;"):
+            write_segment(state.segment_path(1), p, 1, words[:, 0])
+        assert state.segment_path(1).read_bytes() == before
+        bury(state, (1,))
+        for node in range(2, p.k + 3):
             write_segment(state.segment_path(node), p, node, words[:, node - 1])
-        for gone in [(), (1,), (1, 2), (4, 5)]:
-            restore = bury(state, gone)
+        # every pattern that rebuilds node 1 from parities that encode 256
+        for other in [(), (2,), (3,), (4,), (5,)]:
+            restore = bury(state, other)
             with pytest.raises(IntegrityError, match="^corrupt symbol stream"):
                 cmd_decode(state.root)
             restore()
@@ -804,13 +989,17 @@ class TestDecode:
 
     @staticmethod
     def bump(state, node, chunk):
-        """Add one to the first symbol of a record (still a field element)."""
+        """Add one to the first symbol of a record, through the plane
+        offsets, wrapping within what the node can hold (still a field
+        element)."""
         segment = state.segment_path(node)
         raw = bytearray(segment.read_bytes())
-        at = 14 + 2 * chunk * state.params.n
-        val = int.from_bytes(raw[at : at + 2], "little")
-        raw[at : at + 2] = ((val + 1) % state.params.q).to_bytes(2, "little")
+        p, w = state.params, width(state.params, node)
+        m, i = state.manifest.chunk_count * p.n, chunk * p.n
+        val = get_symbol(raw, w, m, i)
+        set_symbol(raw, w, m, i, (val + 1) % min(p.q, 1 << w))
         segment.write_bytes(bytes(raw))
+        assert read_segment(segment, p, node, m // p.n)[chunk, 0] == (val + 1) % min(p.q, 1 << w)
 
     def test_corrupt_shard_detected(self, tmp_path, payload):
         # the decode cross-check against the second parity catches a bumped
