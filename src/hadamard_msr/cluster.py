@@ -126,21 +126,22 @@ def write_segment(path, params: CodeParams, node: int, rows) -> None:
     (first symbol in the high bit).  Chunk c starts at byte 14 + p*M + c*N
     in byte plane p and at 14 + (w//8)*M + j*M/8 + c*N/8 in bit plane j,
     whole bytes because N >= 8.  A symbol the node cannot hold raises
-    IntegrityError before anything is written: a systematic one at or above
-    2**w, which no input byte stream packs to, or a parity one outside F_q.
+    IntegrityError before anything is written: a systematic one outside
+    [0, 2**w), which no input byte stream packs to, or a parity one outside F_q.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != params.n:
         raise ValueError(f"segment rows must hold {params.n} symbols each")
     width = _width(params, node)
     limit = 1 << width if node <= params.k else params.q
-    # 16 bits hold every element of F_q (q < 2**15), and a negative symbol
-    # down to -2**15 wraps to 2**15 or more, above any limit
-    narrow = rows.astype(np.uint16)
-    if narrow.size and narrow.max() >= limit:
-        bad = rows.flat[int(np.argmax(narrow >= limit))]
+    # as uint64 a negative symbol wraps to 2**63 or more, above any limit;
+    # narrowing straight to 16 bits would wrap 2**16 + 5 to 5 and pass
+    wide = rows.astype(np.uint64)
+    if wide.size and wide.max() >= limit:
+        bad = rows.flat[int(np.argmax(wide >= limit))]
         what = f"not below 2**{width}" if node <= params.k else f"outside F_{params.q}"
         raise IntegrityError(f"node {node} symbol {bad} is {what}; {path} not written")
+    narrow = wide.astype(np.uint16)  # 16 bits hold every element of F_q (q < 2**15)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, params.k, params.q, node, rows.shape[0])
     # w <= 15, so there is one byte plane (the low byte) from 8 bits up
     planes = [header, narrow.astype(np.uint8)] if width >= 8 else [header]

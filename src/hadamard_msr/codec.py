@@ -8,9 +8,10 @@ A_i - A_j entrywise nonzero, which is exactly what two-erasure decoding
 needs.  Any two node failures are recoverable.
 
 Decoding is linear and diagonal per symbol position, so each erasure
-pattern compiles once into per-position weights over the surviving rows
-(_decode_map); a decode call is then one weighted sum that rebuilds the
-missing rows and tests each surviving parity's syndrome that can fire.
+pattern compiles once (_decode_map), by eliminating the erased columns from
+the two parity checks, into per-position weights over the surviving rows;
+a decode call is then one weighted sum that rebuilds the missing rows and
+tests the syndrome of each parity check left over.
 
 encode_blocks and decode reduce their input mod q once and then run the
 kernels with_parities and complete_word, which take rows that are already
@@ -268,67 +269,31 @@ def _decode_map(params: CodeParams, alive: tuple) -> tuple:
     node and each checked parity's syndrome (recomputed minus stored) is
     the row sum_s weights[r, s] * x[s] over the codeword rows x: r runs over
     `erased`, then over `parities`; erased rows carry zero weight.  The
-    weights come from running the closed-form solve once on unit probes,
-    survivor b set to all ones in batch slot b: missing parities by
-    re-encoding, one missing systematic from either parity, two by entrywise
-    2x2 elimination against both parities.
-
-    `parities` holds only the surviving parities whose syndrome weights are
-    not all zero.  A parity the solve itself used checks to zero on every
-    input, so a pattern with exactly k survivors checks none, and a single
-    erased systematic node is checked against the second parity only.
+    weights come from eliminating the erased columns, in ascending node
+    order, from the parity checks [1 .. 1, -1, 0] and [A_1 .. A_k, 0, -1]
+    entrywise: a column pivots on the first unused row nonzero there, whose
+    normalized row gives x_e = -(its surviving terms); a row never used as a
+    pivot is its parity's syndrome.  A zero pivot, which the cross
+    constraints rule out, raises ZeroDivisionError.
     """
-    k, q, n = params.k, params.q, params.n
-    probes = np.repeat(np.eye(len(alive), dtype=np.int64)[:, :, None], n, axis=-1)
-    data = {node: probes[:, b] for b, node in enumerate(alive)}
-    missing = [i for i in range(1, k + 1) if i not in data]
-    if len(missing) == 1:
-        (i,) = missing
-        others = [l for l in range(1, k + 1) if l != i]
-        if k + 1 in data:
-            acc = data[k + 1].copy()
-            for l in others:
-                acc -= data[l]
-            data[i] = acc % q
-        else:
-            acc = data[k + 2].copy()
-            for l in others:
-                acc -= coding_matrix(params, l) * data[l]
-            data[i] = inverse_coding_matrix(params, i) * acc % q
-    elif len(missing) == 2:
-        i, j = missing
-        rhs1 = data[k + 1].copy()
-        rhs2 = data[k + 2].copy()
-        for l in range(1, k + 1):
-            if l in data:
-                rhs1 -= data[l]
-                rhs2 -= coding_matrix(params, l) * data[l]
-        rhs1 %= q
-        rhs2 %= q
-        # per-position system [[1, 1], [A_i[t], A_j[t]]]; the cross
-        # constraints keep the determinant A_j[t] - A_i[t] nonzero
-        ai = coding_matrix(params, i)
-        aj = coding_matrix(params, j)
-        det_inv = params.field.inv_vec(aj - ai)
-        fj = (rhs2 - ai * rhs1) * det_inv % q
-        data[j] = fj
-        data[i] = (rhs1 - fj) % q
-    word = with_parities(params, np.stack([data[i] for i in range(1, k + 1)], axis=-2))
-
+    k, q = params.k, params.q
+    checks = np.zeros((2, k + 2, params.n), dtype=np.int64)
+    checks[0, :k] = 1
+    checks[1, :k] = _coding_diagonals(params)
+    checks[0, k] = checks[1, k + 1] = q - 1
     erased = tuple(node for node in range(1, k + 3) if node not in alive)
-    checked = tuple(node for node in (k + 1, k + 2) if node in alive)
-    outputs = [node - 1 for node in erased + checked]
-    weights = np.zeros((len(outputs), k + 2, n), dtype=np.int64)
-    weights[:, [node - 1 for node in alive]] = word[:, outputs].swapaxes(0, 1)
-    for r, node in enumerate(checked, start=len(erased)):
-        weights[r, node - 1] -= 1
-    weights %= q
-    keep = weights.any(axis=(1, 2))
-    keep[: len(erased)] = True
-    parities = tuple(node for node, kept in zip(checked, keep[len(erased) :]) if kept)
-    weights = weights[keep]
+    free, pivots = [0, 1], []
+    for col in (node - 1 for node in erased):
+        # with no row nonzero in this column, free[0]'s zero pivot raises
+        pivot = next((r for r in free if checks[r, col].any()), free[0])
+        free.remove(pivot)
+        pivots.append(pivot)
+        checks[pivot] = checks[pivot] * params.field.inv_vec(checks[pivot, col]) % q
+        checks[1 - pivot] = (checks[1 - pivot] - checks[1 - pivot, col] * checks[pivot]) % q
+    weights = np.concatenate([-checks[pivots], checks[free]]) % q
+    weights[:, [node - 1 for node in erased]] = 0
     weights.flags.writeable = False
-    return erased, parities, weights
+    return erased, tuple(k + 1 + r for r in free), weights
 
 
 def decode(params: CodeParams, available: dict) -> np.ndarray:

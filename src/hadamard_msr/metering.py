@@ -51,7 +51,7 @@ def classify_node(params: CodeParams, node: int) -> str:
     raise ValueError(f"node id {node} out of range 1..{params.k + 2}")
 
 
-def bound_formulas(k: int, n: int, node_class: str, strategy: str) -> tuple[int, int]:
+def bound_formulas(k: int, node_class: str, strategy: str) -> tuple[int, int]:
     """Closed-form (adds, muls) ceilings per node class and strategy.
 
     New-strategy adds are exact at (3k+1)N/2; everything else is an upper
@@ -60,8 +60,7 @@ def bound_formulas(k: int, n: int, node_class: str, strategy: str) -> tuple[int,
     """
     if node_class not in NODE_CLASSES:
         raise ValueError(f"unknown node class {node_class!r}")
-    if n != 1 << (k + 1):
-        raise ValueError(f"n must be 2^(k+1) = {1 << (k + 1)}, got {n}")
+    n = 1 << (k + 1)
     parity2 = node_class == "parity2"
     if strategy == "new":
         adds = (3 * k + 1) * n // 2
@@ -124,9 +123,7 @@ def measure_repair(
             f"repair of node {node} ({strategy}) produced wrong data; counts void"
         )
     cost = plan.cost()
-    add_bound, mul_bound = bound_formulas(
-        params.k, params.n, classify_node(params, node), strategy
-    )
+    add_bound, mul_bound = bound_formulas(params.k, classify_node(params, node), strategy)
     return CostReport(
         node=node,
         node_class=classify_node(params, node),

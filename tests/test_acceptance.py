@@ -94,7 +94,7 @@ def test_criterion_4_new_strategy_mul_counts(searched_params):
             params = params_for(k, searched_params)
             for node in range(1, params.k + 3):
                 rep = measure_repair(params, node, "new")
-                _, mul_bound = bound_formulas(k, params.n, rep.node_class, "new")
+                _, mul_bound = bound_formulas(k, rep.node_class, "new")
                 assert rep.muls <= mul_bound, (k, node, rep.muls, mul_bound)
         # the published per-node targets for the demo profiles are hit exactly
         for node, muls in target_k2.items():

@@ -274,12 +274,25 @@ class TestShardFormat:
             (p.k + 1, parity_top + 1, f"outside F_{q}"),
             (p.k + 2, -1, f"outside F_{q}"),
         ]
-        for node, value, match in cases:
+        # values that narrowing to 16 bits would wrap into range: 5, 0 and 3
+        wrapping = [(p.k + 1, value, f"outside F_{q}") for value in (65541, 1 << 16, -65533)]
+
+        def refused(node, value, match):
             rows = np.zeros((3, p.n), dtype=np.int64)
             rows[2, 5] = value
             with pytest.raises(IntegrityError, match=f"^node {node} symbol {value} is {match};"):
                 write_segment(path, p, node, rows)
+
+        for case in cases + wrapping:
+            refused(*case)
             assert list(tmp_path.iterdir()) == []
+        # a refused write leaves the segment already there untouched
+        write_segment(path, p, p.k + 1, np.ones((3, p.n), dtype=np.int64))
+        before = path.read_bytes()
+        for case in wrapping:
+            refused(*case)
+            assert path.read_bytes() == before
+            assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_file(self, tmp_path, demo_k2):
         with pytest.raises(IntegrityError, match="missing"):

@@ -460,8 +460,8 @@ def full_syndromes(p, alive, erased, weights):
 
 
 class TestDecodeMap:
-    @pytest.mark.parametrize("q", [None, 257])
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("q", [None, 257, 32749])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_keeps_only_syndromes_that_can_fire(self, k, q):
         if q is None:
             p = demo_params(k) if k in DEMO_COEFFICIENTS else search_params(k)
@@ -486,6 +486,40 @@ class TestDecodeMap:
                 assert parities == (k + 2,), gone
             else:  # nothing erased, or one parity
                 assert parities == tuple(m for m in (k + 1, k + 2) if m in alive), gone
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.sampled_from([7, 11, 13]),
+                st.lists(st.integers(0, 12), min_size=k, max_size=k),
+                st.lists(st.integers(0, 12), min_size=k, max_size=k),
+            )
+        )
+    )
+    def test_zero_pivot_exactly_where_erased_checks_lose_rank(self, case):
+        # unchecked coefficients may break the cross constraints: the compile
+        # must then refuse exactly the patterns whose erased columns of the
+        # check matrix [1 .. 1, -1, 0; A_1 .. A_k, 0, -1] are dependent at
+        # some position, and decode every other pattern
+        k, q, a, b = case
+        p = CodeParams(k, q, a, b, check=False)
+        diagonals = np.stack([coding_matrix(p, i) for i in range(1, k + 1)])
+        word = encode(p, np.random.default_rng([k, q]).integers(0, q, size=(k, p.n)))
+        for gone in erasure_patterns(k):
+            alive = tuple(m for m in range(1, k + 3) if m not in gone)
+            singular = False
+            for t in range(p.n):
+                checks = [[1] * k + [-1, 0], [*diagonals[:, t], 0, -1]]
+                erased_columns = [[row[m - 1] for m in gone] for row in checks]
+                singular |= p.field.rank(erased_columns) < len(gone)
+            if singular:
+                with pytest.raises(ZeroDivisionError):
+                    codec._decode_map(p, alive)
+            else:
+                got = decode(p, {m: word[m - 1] for m in alive})
+                assert np.array_equal(got, word), (case, gone)
 
 
 def bitwise_chunk_file(data: bytes, params: CodeParams) -> np.ndarray:

@@ -254,27 +254,25 @@ class TestBounds:
         ],
     )
     def test_frozen_values(self, k, node_class, strategy, expected):
-        assert bound_formulas(k, 1 << (k + 1), node_class, strategy) == expected
+        assert bound_formulas(k, node_class, strategy) == expected
 
     def test_formula_shapes(self):
         # new strategy: (3k+1)N/2 adds for every class
         for k in range(2, 8):
             n = 1 << (k + 1)
             for node_class in ("systematic", "parity1"):
-                adds, muls = bound_formulas(k, n, node_class, "new")
+                adds, muls = bound_formulas(k, node_class, "new")
                 assert adds == (3 * k + 1) * n // 2
                 assert muls == (k + 3) * n // 2
-            adds, muls = bound_formulas(k, n, "parity2", "new")
+            adds, muls = bound_formulas(k, "parity2", "new")
             assert adds == (3 * k + 1) * n // 2
             assert muls == (3 * k + 3) * n // 2
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            bound_formulas(2, 16, "systematic", "new")  # n must be 2^(k+1)
+            bound_formulas(2, "parity3", "new")
         with pytest.raises(ValueError):
-            bound_formulas(2, 8, "parity3", "new")
-        with pytest.raises(ValueError):
-            bound_formulas(2, 8, "systematic", "fast")
+            bound_formulas(2, "systematic", "fast")
 
 
 class TestClassify:
