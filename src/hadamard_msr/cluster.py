@@ -14,6 +14,13 @@ segment from the other nodes' segments, shipping exactly N/2 symbols per
 chunk from each helper, and then drops the tombstone; decode tolerates any
 two dead nodes.
 
+The commands keep symbols narrow from end to end: chunk_file packs uint8
+symbols, read_segment returns uint8 or uint16 rows, and the encode, repair
+and decode kernels widen them only to their accumulator dtype (int32 at
+q = 257; see codec and repair).  Every range check, of a row to be written
+or a payload a helper ships, runs in the checked array's own dtype, before
+anything could narrow it.
+
 Segment and manifest I/O is builtin open and os calls on str paths.  Every
 command that loads a cluster opens and reads the manifest once (no stat
 first), stats each of the k+2 segments once, and lists no directory; the
@@ -117,6 +124,12 @@ def _plane_table(bit: int, dtype) -> np.ndarray:
     return table
 
 
+def _unsigned(a: np.ndarray) -> np.ndarray:
+    """Integer array a viewed as unsigned at its own width, where a negative
+    symbol reads as 2**(bits - 1) or more, above every limit a node has."""
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
 def write_segment(path, params: CodeParams, node: int, rows) -> None:
     """Store a node's (chunks, N) symbol rows; row c is chunk c.
 
@@ -125,28 +138,29 @@ def write_segment(path, params: CodeParams, node: int, rows) -> None:
     planes of the bits above them, lowest first, each packed by np.packbits
     (first symbol in the high bit).  Chunk c starts at byte 14 + p*M + c*N
     in byte plane p and at 14 + (w//8)*M + j*M/8 + c*N/8 in bit plane j,
-    whole bytes because N >= 8.  A symbol the node cannot hold raises
-    IntegrityError before anything is written: a systematic one outside
-    [0, 2**w), which no input byte stream packs to, or a parity one outside F_q.
+    whole bytes because N >= 8.  The rows may be of any integer dtype.  A
+    symbol the node cannot hold raises IntegrityError before anything is
+    written: a systematic one outside [0, 2**w), which no input byte stream
+    packs to, or a parity one outside F_q.  The check runs in the rows' own
+    dtype, before any narrowing could wrap 2**16 + 5 to a valid-looking 5.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != params.n:
         raise ValueError(f"segment rows must hold {params.n} symbols each")
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"segment rows must hold integer symbols, not {rows.dtype}")
     width = _width(params, node)
     limit = 1 << width if node <= params.k else params.q
-    # as uint64 a negative symbol wraps to 2**63 or more, above any limit;
-    # narrowing straight to 16 bits would wrap 2**16 + 5 to 5 and pass
-    wide = rows.astype(np.uint64)
-    if wide.size and wide.max() >= limit:
-        bad = rows.flat[int(np.argmax(wide >= limit))]
+    seen = _unsigned(rows)
+    if seen.size and seen.max() >= limit:
+        bad = rows.flat[int(np.argmax(seen >= limit))]
         what = f"not below 2**{width}" if node <= params.k else f"outside F_{params.q}"
         raise IntegrityError(f"node {node} symbol {bad} is {what}; {path} not written")
-    narrow = wide.astype(np.uint16)  # 16 bits hold every element of F_q (q < 2**15)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, params.k, params.q, node, rows.shape[0])
     # w <= 15, so there is one byte plane (the low byte) from 8 bits up
-    planes = [header, narrow.astype(np.uint8)] if width >= 8 else [header]
+    planes = [header, rows.astype(np.uint8)] if width >= 8 else [header]
     for bit in range(width // 8 * 8, width):
-        planes.append(np.packbits((narrow & (1 << bit)) != 0))
+        planes.append(np.packbits((rows & (1 << bit)) != 0))
     _write_replace(path, b"".join(planes))
 
 
@@ -371,13 +385,14 @@ def cmd_encode(
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
         data = f.read()
-    blocks = codec.chunk_file(data, params)
-    words = codec.with_parities(params, blocks)  # packed symbols are below 2**bits <= q
+    blocks = codec.chunk_file(data, params)  # uint8 symbols, below 2**bits <= q
+    parities = codec.parities(params, blocks)
     manifest = Manifest(params=params, chunk_count=blocks.shape[0], original_length=len(data))
     os.makedirs(out_dir, exist_ok=True)
     state = ClusterState(root=Path(out_dir), manifest=manifest)
     for node in range(1, params.k + 3):
-        write_segment(state._segment_file(node), params, node, words[:, node - 1])
+        rows = blocks[:, node - 1] if node <= params.k else parities[:, node - params.k - 1]
+        write_segment(state._segment_file(node), params, node, rows)
     manifest.save(out_dir)
     return state
 
@@ -409,7 +424,7 @@ def read_repair_payload(state: ClusterState, plan: RepairPlan, helper: int) -> n
     """Default payload reader, the hook payload_reader(state, plan, helper):
     the helper reads its segment once, transforms all its chunks locally
     through plan.helper_payload and ships (chunks, N/2) symbols, which
-    cmd_repair stacks in combine order for plan.compiled.recover.  Tests
+    cmd_repair stacks in combine order for plan.narrow.recover.  Tests
     swap this out to audit download volume or to ship malformed payloads."""
     p = state.params
     rows = read_segment(state._segment_file(helper), p, helper, state.manifest.chunk_count)
@@ -442,9 +457,11 @@ class RepairSummary:
 def cmd_repair(
     root, node: int, strategy: str = "new", payload_reader=read_repair_payload
 ) -> RepairSummary:
-    """Rebuild a dead node's segment from the k+1 live ones.  A rebuilt
-    symbol the node cannot hold (see write_segment) raises IntegrityError
-    before anything is written, and the tombstone stays."""
+    """Rebuild a dead node's segment from the k+1 live ones.  The payloads
+    are stacked, and the node rebuilt, in the plan's narrow recover dtype.
+    A payload symbol outside F_q, or a rebuilt symbol the node cannot hold
+    (see write_segment), raises IntegrityError before anything is written,
+    and the tombstone stays."""
     state = ClusterState.load(root)
     state.check_node(node)
     if strategy not in STRATEGIES:
@@ -462,29 +479,32 @@ def cmd_repair(
             )
         raise UnrecoverableError(f"only {alive} nodes alive; data is unrecoverable")
     plan = build_repair_plan(params, node, strategy)
-    run = plan.compiled
+    run = plan.narrow
     chunks = state.manifest.chunk_count
     shape = (chunks, params.n // 2)
-    stack = np.empty((chunks, len(run.order), shape[1]), dtype=np.int64)
+    stack = np.empty((chunks, len(run.order), shape[1]), dtype=run.recover_dtype)
     shipped = {}
+    outside = None  # the first helper, in combine order, to ship a symbol outside F_q
     for i, helper in enumerate(run.order):
         payload = np.asarray(payload_reader(state, plan, helper))
         if payload.shape != shape:
             raise IntegrityError(f"helper {helper} shipped {payload.shape}, expected {shape}")
         # the stack would truncate floats and wrap symbols outside the field
-        # into a wrong but well-formed segment
+        # into a wrong but well-formed segment, so each payload's range is
+        # checked in its own dtype before it is stored: an int32 stack would
+        # turn 2**32 + 5 into 5
         if payload.dtype.kind not in "iu":
             raise IntegrityError(f"helper {helper} shipped {payload.dtype} symbols, not integers")
+        if outside is None and payload.size and _unsigned(payload).max() >= params.q:
+            outside = helper
         stack[:, i] = payload
         shipped[helper] = int(payload.size)
         del payload  # the stack holds a copy; free it before the next download
-    # one pass for every helper's F_q range: seen unsigned, a negative symbol
-    # (or a uint64 one the int64 stack wrapped negative) is >= q too
-    if stack.size and stack.view(np.uint64).max() >= params.q:
-        bad = (stack.view(np.uint64) >= params.q).any(axis=(0, 2))
-        helper = run.order[int(np.argmax(bad))]
-        raise IntegrityError(f"helper {helper} shipped symbols outside F_{params.q}")
-    rebuilt = np.empty((chunks, params.n), dtype=np.int64)
+    # raised once every helper is read, so a later helper's shape or dtype
+    # refusal still comes first
+    if outside is not None:
+        raise IntegrityError(f"helper {outside} shipped symbols outside F_{params.q}")
+    rebuilt = np.empty((chunks, params.n), dtype=run.recover_dtype)
     for lo in range(0, chunks, REPAIR_WINDOW):
         rebuilt[lo : lo + REPAIR_WINDOW] = run.recover(stack[lo : lo + REPAIR_WINDOW])
     del stack
@@ -505,7 +525,8 @@ def cmd_repair(
 
 
 def cmd_decode(root, out_path=None) -> bytes:
-    """Reconstruct the original file from any >= k live nodes."""
+    """Reconstruct the original file from any >= k live nodes, in one
+    (chunks, k+2, N) word of codec.word_dtype(params)."""
     state = ClusterState.load(root)
     params = state.manifest.validated_params()
     alive = [n for n in range(1, params.k + 3) if n not in state.dead]
@@ -517,7 +538,7 @@ def cmd_decode(root, out_path=None) -> bytes:
     # every segment is read and size-checked before the (chunks, k+2, N) word
     # exists, since the manifest's chunk count may be tampered
     segments = {n: read_segment(state._segment_file(n), params, n, chunks) for n in alive}
-    words = np.zeros((chunks, params.k + 2, params.n), dtype=np.int64)
+    words = np.zeros((chunks, params.k + 2, params.n), dtype=codec.word_dtype(params))
     for n in alive:
         words[:, n - 1] = segments.pop(n)  # read_segment rejected every symbol >= q
     try:

@@ -15,9 +15,18 @@ tests the syndrome of each parity check left over.
 
 encode_blocks and decode reduce their input mod q once and then run the
 kernels with_parities and complete_word, which take rows that are already
-in F_q; the cluster commands call those kernels directly, since their
-symbols are in range by construction (chunk_file) or by check
-(read_segment).
+in F_q; the cluster commands call those kernels (and parities, the encode
+kernel's core) directly, since their symbols are in range by construction
+(chunk_file) or by check (read_segment).
+
+Each kernel sums products of symbols before it reduces mod q, and adds in
+the narrowest exact dtype that its worst-case sum allows
+(field.accumulator_dtype): k (q-1)**2 for a parity and (k+2) (q-1)**2 for a
+rebuilt row or syndrome.  On int64 rows, which is what the API entry points
+hand them, the kernels run on int64 tables instead, so an API call never
+mixes dtypes; on stored rows (chunk_file's uint8 symbols, read_segment's
+uint8 or uint16 ones) the tables are in the accumulator dtype, and numpy
+widens the stored symbols only to it.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .design import sign_vector
-from .field import PrimeField, is_prime
+from .field import PrimeField, accumulator_dtype, is_prime
 
 # Coefficient sets for the demo profiles, chosen so operation-count reports
 # are directly comparable across runs.  Format: k -> (q, a, b).
@@ -174,11 +183,14 @@ def find_coefficients(k: int, q: int) -> tuple[tuple, tuple] | None:
     return tuple(p[0] for p in chosen), tuple(p[1] for p in chosen)
 
 
+@lru_cache(maxsize=None)
 def search_params(k: int, q: int | None = None) -> CodeParams:
     """CodeParams for k, searching coefficients at q or at ascending primes.
 
     With q given, fails if no valid assignment exists there; otherwise scans
-    odd primes upward from 2k+3 until one admits an assignment.
+    odd primes upward from 2k+3 until one admits an assignment.  The result
+    is memoized, so the full coefficient check runs once per (k, q); a
+    failing (k, q) raises and is not cached, so it raises on every call.
     """
     if q is not None:
         found = find_coefficients(k, q)
@@ -234,12 +246,36 @@ def inverse_coding_matrix(params: CodeParams, i: int) -> np.ndarray:
     return params.field.inv_vec(coding_matrix(params, i))
 
 
+@lru_cache(maxsize=None)
+def _parity_tables(params: CodeParams, wide: bool) -> tuple:
+    """The encode kernel's tables (ones (k,), coding diagonals (k, N)):
+    int64 for int64 parts, else in the accumulator of a parity's sum,
+    k (q-1)**2."""
+    dtype = np.int64 if wide else accumulator_dtype(params.k * (params.q - 1) ** 2)
+    tables = np.ones(params.k, dtype), _coding_diagonals(params).astype(dtype)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def parities(params: CodeParams, parts: np.ndarray) -> np.ndarray:
+    """Encode kernel: both parities (..., 2, N) of parts (..., k, N) whose
+    symbols already lie in [0, q), in int64 for int64 parts and otherwise in
+    the accumulator dtype of _parity_tables.  Each parity is one product by
+    a row of ones, which sums over the k parts faster than .sum(axis=-2)
+    at every batch size and adds in the tables' dtype."""
+    ones, diag = _parity_tables(params, parts.dtype == np.int64)
+    out = np.empty(parts.shape[:-2] + (2, params.n), dtype=diag.dtype)
+    np.matmul(ones, parts, out=out[..., 0, :])
+    np.matmul(ones, diag * parts, out=out[..., 1, :])
+    out %= params.q
+    return out
+
+
 def with_parities(params: CodeParams, parts: np.ndarray) -> np.ndarray:
     """Encode kernel: append both parities to parts (..., k, N) whose
     symbols already lie in [0, q)."""
-    parity1 = parts.sum(axis=-2, keepdims=True) % params.q
-    parity2 = (_coding_diagonals(params) * parts).sum(axis=-2, keepdims=True) % params.q
-    return np.concatenate([parts, parity1, parity2], axis=-2)
+    return np.concatenate([parts, parities(params, parts)], axis=-2)
 
 
 def encode(params: CodeParams, parts) -> np.ndarray:
@@ -260,10 +296,17 @@ def encode_blocks(params: CodeParams, blocks) -> np.ndarray:
     return with_parities(params, blocks)
 
 
+def word_dtype(params: CodeParams) -> np.dtype:
+    """The decode kernel's accumulator on stored rows: a rebuilt row or a
+    syndrome sums k+2 products of two symbols, at most (k+2) (q-1)**2."""
+    return accumulator_dtype((params.k + 2) * (params.q - 1) ** 2)
+
+
 @lru_cache(maxsize=None)
-def _decode_map(params: CodeParams, alive: tuple) -> tuple:
+def _decode_map(params: CodeParams, alive: tuple, wide: bool = True) -> tuple:
     """Compiled decode from the survivors `alive` (sorted node ids):
-    (erased, parities, weights).
+    (erased, parities, weights), the weights in int64 when `wide` and in
+    word_dtype(params) otherwise.
 
     Decoding is linear, and diagonal per symbol position, so each erased
     node and each checked parity's syndrome (recomputed minus stored) is
@@ -276,6 +319,11 @@ def _decode_map(params: CodeParams, alive: tuple) -> tuple:
     pivot is its parity's syndrome.  A zero pivot, which the cross
     constraints rule out, raises ZeroDivisionError.
     """
+    if not wide:
+        erased, parities, weights = _decode_map(params, alive, True)
+        weights = weights.astype(word_dtype(params))
+        weights.flags.writeable = False
+        return erased, parities, weights
     k, q = params.k, params.q
     checks = np.zeros((2, k + 2, params.n), dtype=np.int64)
     checks[0, :k] = 1
@@ -300,8 +348,8 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
     """Full codewords from any >= k surviving nodes.
 
     `available` maps node ids (1-based; parities are k+1 and k+2) to rows of
-    one shared shape (..., N), one per codeword; returns (..., k+2, N).  Up
-    to two missing nodes are reconstructed.  The rows are checked, stacked
+    one shared shape (..., N), one per codeword; returns (..., k+2, N) int64.
+    Up to two missing nodes are reconstructed.  The rows are checked, stacked
     into one int64 word and reduced mod q once; complete_word then rebuilds
     the missing rows and tests the syndromes.
     """
@@ -327,16 +375,18 @@ def decode(params: CodeParams, available: dict) -> np.ndarray:
 def complete_word(params: CodeParams, word: np.ndarray, alive: tuple) -> np.ndarray:
     """Decode kernel: rebuild the erased rows of `word` in place; returns it.
 
-    `word` is int64 (..., k+2, N), and its rows for the surviving nodes
+    `word` is (..., k+2, N), int64 (decode's) or of the dtype the cluster
+    allocates, word_dtype(params), and its rows for the surviving nodes
     `alive` (sorted ids, at least k) hold symbols in [0, q); the other rows
     are overwritten.  The erasure pattern compiles once (_decode_map) into
-    weights, so a call is one weighted sum that yields the missing rows and
+    weights, in int64 for an int64 word and in word_dtype(params) for any
+    other, so a call is one weighted sum that yields the missing rows and
     the syndrome of each parity that can flag.  A nonzero syndrome raises;
     for stacked rows the message names the first bad row (over the
     flattened leading axes) as the failing chunk.
     """
     n = params.n
-    erased, parities, weights = _decode_map(params, alive)
+    erased, parities, weights = _decode_map(params, alive, word.dtype == np.int64)
     out = np.einsum("...st,rst->...rt", word, weights)
     out %= params.q
     for r, node in enumerate(erased):
@@ -358,21 +408,22 @@ def bits_per_symbol(q: int) -> int:
 
 
 def chunk_file(data: bytes, params: CodeParams) -> np.ndarray:
-    """Pack bytes into (chunks, k, N) int64 symbol blocks.
+    """Pack bytes into (chunks, k, N) uint8 symbol blocks.
 
     The bytes are zero-padded to whole chunks of params.chunk_bytes, and
     their bits are read MSB-first in groups of bits_per_symbol(q), so every
-    symbol value stays below 2**bits <= q.  At 8 bits a symbol is one byte,
-    and the packing is a widening cast.
+    symbol value stays below 2**bits <= q and fits one byte.  At 8 bits a
+    symbol is one byte, and the blocks are the padded bytes themselves.
     """
     bits = bits_per_symbol(params.q)
     raw = np.frombuffer(data, dtype=np.uint8)
-    padded = np.pad(raw, (0, -raw.size % params.chunk_bytes))
+    padded = np.zeros(-(-raw.size // params.chunk_bytes) * params.chunk_bytes, dtype=np.uint8)
+    padded[: raw.size] = raw
     if bits == 8:
-        return padded.astype(np.int64).reshape(-1, params.k, params.n)
+        return padded.reshape(-1, params.k, params.n)
     weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.uint8)
     symbols = np.unpackbits(padded).reshape(-1, bits) @ weights  # uint8: sums <= 255
-    return symbols.astype(np.int64).reshape(-1, params.k, params.n)
+    return symbols.reshape(-1, params.k, params.n)
 
 
 def unchunk(blocks, original_length: int, params: CodeParams) -> bytes:
@@ -380,11 +431,12 @@ def unchunk(blocks, original_length: int, params: CodeParams) -> bytes:
 
     Rejects symbol values that no packed byte stream could produce, which
     catches corrupted or mis-decoded blocks before they round-trip silently.
-    Each checked symbol is narrowed to one byte; at 8 bits that byte is the
-    output, and below it the symbol's low `bits` bits are repacked MSB-first.
+    The check runs in the blocks' own dtype, and only then is each symbol
+    narrowed to one byte; at 8 bits that byte is the output, and below it
+    the symbol's low `bits` bits are repacked MSB-first.
     """
     bits = bits_per_symbol(params.q)
-    blocks = np.asarray(blocks, dtype=np.int64)
+    blocks = np.asarray(blocks)
     limit = min(1 << bits, params.q)
     if blocks.size * bits < original_length * 8:
         raise ValueError("not enough symbols for the recorded length")

@@ -68,8 +68,10 @@ def hadamard_factors(n: int) -> tuple[np.ndarray, ...]:
 
 
 def kron_rows(z: np.ndarray, factors: tuple) -> np.ndarray:
-    """The Kronecker product of the symmetric `factors` times each int64
-    row of z (..., n).  One factor h is one matmul, z @ h.  With two,
+    """The Kronecker product of the symmetric `factors` times each integer
+    row of z (..., n), in the wider of z's and the factors' dtypes, which
+    must hold n times the largest |entry| of z.  One factor h is one
+    matmul, z @ h.  With two,
     (h_a, h_b), a row reshaped to a block Z of h_a's by h_b's order maps to
     h_a Z h_b.  With the factors of hadamard_factors(n) that is the
     Sylvester matrix."""

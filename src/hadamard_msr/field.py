@@ -1,8 +1,12 @@
-"""Arithmetic in a prime field F_q: inverses and rank.
+"""Arithmetic in a prime field F_q: inverses, rank and accumulator widths.
 
 Symbols are canonical ints in [0, q).  Repair execution works on plain numpy
 arrays reduced mod q; what a repair costs in field operations is a property
 of its plan, counted once by RepairPlan.cost(), never during arithmetic.
+
+A kernel sums products of symbols before it reduces, so each one proves a
+worst-case sum for its tables and asks accumulator_dtype for the narrowest
+integer type that holds it exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ def is_prime(n: int) -> bool:
             return False
         f += 6
     return True
+
+
+def accumulator_dtype(bound: int) -> np.dtype:
+    """The narrowest exact integer dtype for sums whose absolute value stays
+    at most `bound`: int32 below 2**31, else int64."""
+    return np.dtype(np.int32 if bound < 1 << 31 else np.int64)
 
 
 @lru_cache(maxsize=None)

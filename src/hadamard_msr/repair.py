@@ -33,6 +33,17 @@ after one inverse transform under "original", whose basis lives only on the
 wire; no table there has over (k+1) N entries.  The API repairs one small
 codeword per call, so both kernels use ndarray methods and in-place
 operators, which skip the dispatch layer of the np.* wrappers.
+
+A plan compiles its tables twice, once per kind of row.  RepairPlan.compiled
+holds them in int64 for int64 rows, which is what execute_repair and the
+API's helper_payload calls see, so those calls never mix dtypes.
+RepairPlan.narrow holds them for stored rows, the cluster's, in the
+narrowest dtype each kernel's worst-case sum allows
+(field.accumulator_dtype): the download adds two products of two symbols,
+2 (q-1)**2, and under "original" its transform sums N/2 reduced symbols,
+(N/2) (q-1); recover sums k+1 products, (k+1) (q-1)**2 under "new", and
+(k+1) (N/2) (q-1)**2 under "original", whose inverse transform reaches the
+pair product unreduced.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import numpy as np
 
 from .codec import CodeParams, coding_matrix, inverse_coding_matrix
 from .design import fast_hadamard_apply, hadamard_factors, kron_rows, lemma2_partner
+from .field import accumulator_dtype
 
 STRATEGIES = ("new", "original")
 
@@ -124,6 +136,14 @@ class CompiledRepair:
     into `pair_weights`.  Every partial sum stays below (k+1) (N/2) q^2, and
     no table has more than (k+1) N entries.
 
+    The download adds in `download_dtype`, to which it widens the gathered
+    symbols and in which `scale` and `hadamard` are held; recover adds in
+    `recover_dtype`, the dtype of `pair_weights` and of the stack it expects,
+    never narrower than `download_dtype`, so its transform by `hadamard`
+    runs in it too.  Both are int64 in a plan's `compiled` tables and each
+    kernel's accumulator dtype in its `narrow` ones (see the module
+    docstring).
+
     Both kernels are called once per repaired codeword on the API path, so
     they are written as a few whole-array steps through ndarray methods and
     in-place operators (`@`, `.take`, `*=`, `%=`); the np.* wrappers cost
@@ -132,6 +152,8 @@ class CompiledRepair:
 
     q: int
     order: tuple
+    download_dtype: np.dtype
+    recover_dtype: np.dtype
     gather: np.ndarray
     scale: np.ndarray | None
     first: np.ndarray
@@ -149,15 +171,16 @@ class CompiledRepair:
         every helper's payload, stacked in combine order (..., k+1, N/2).
         With `helper` an index into the combine order, x holds that helper's
         rows (..., N) and the result is its payload (..., N/2).  Only the
-        gathered symbols are widened to int64, so x may stay in its stored
-        dtype.
+        gathered symbols are widened to download_dtype, so x may stay in its
+        stored dtype; they must lie in [0, q) unless the dtype is int64.
         """
+        dtype = self.download_dtype
         if helper is None:
             # the width is named: reshape(..., -1) cannot size zero chunks
             flat = x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
             both = flat.take(self.gather, axis=-1)
-            if both.dtype != np.int64:
-                both = both.astype(np.int64)
+            if both.dtype != dtype:
+                both = both.astype(dtype)
             if self.scale is not None:
                 both *= self.scale
             a = both[..., 0, :, :]
@@ -166,11 +189,11 @@ class CompiledRepair:
             # one half at a time: widening the first before gathering the
             # second keeps a single narrow half alive on stored segments
             a = x.take(self.first, axis=-1)
-            if a.dtype != np.int64:
-                a = a.astype(np.int64)
+            if a.dtype != dtype:
+                a = a.astype(dtype)
             b = x.take(self.second, axis=-1)
-            if b.dtype != np.int64:
-                b = b.astype(np.int64)
+            if b.dtype != dtype:
+                b = b.astype(dtype)
             if self.scale is not None:
                 a *= self.scale[0, helper]
                 b *= self.scale[1, helper]
@@ -185,8 +208,8 @@ class CompiledRepair:
 
     def recover(self, payloads: np.ndarray) -> np.ndarray:
         """The one recover kernel: cancel interference and recover the failed
-        node's symbols (..., N) from stacked int64 payloads (..., k+1, N/2) in
-        combine order, which it never writes into."""
+        node's symbols (..., N) from payloads (..., k+1, N/2) stacked in
+        combine order, in recover_dtype, which it never writes into."""
         lead, half = payloads.shape[:-2], payloads.shape[-1]
         if self.hadamard is not None:
             payloads = kron_rows(payloads, self.hadamard)
@@ -195,8 +218,18 @@ class CompiledRepair:
         return pairs.reshape(*lead, 2 * half).take(self.unpair, axis=-1)
 
 
-def _compile(plan: RepairPlan) -> CompiledRepair:
+def _compile(plan: RepairPlan, wide: bool) -> CompiledRepair:
+    """The plan's execution tables: in int64 when `wide`, else each kernel's
+    in the accumulator dtype of its worst-case sum."""
     q, n = plan.params.q, plan.params.n
+    if wide:
+        download_dtype = recover_dtype = np.dtype(np.int64)
+    else:
+        # under "original" the transforms sum N/2 terms: the helper's over
+        # reduced symbols, the repairer's, unreduced, into the pair product
+        spread = n // 2 if plan.strategy == "original" else 1
+        download_dtype = accumulator_dtype(max(2 * (q - 1) ** 2, spread * (q - 1)))
+        recover_dtype = accumulator_dtype((plan.params.k + 1) * spread * (q - 1) ** 2)
     order = (*plan.seeds, *plan.cancel_nodes)
     if sorted(order) != sorted(plan.helper_matrices):
         raise ValueError("the helpers must be the seeds and the cancel nodes")
@@ -212,7 +245,7 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
     ones = np.ones(n, dtype=np.int64)
     pre = np.array([plan.premultiply.get(node, ones) for node in range(1, plan.params.k + 3)])
     signs = np.array([[1] * len(order), [other.second_sign for other in matrices]])
-    scale = pre.ravel()[gather] * signs[..., None]
+    scale = (pre.ravel()[gather] * signs[..., None]).astype(download_dtype)
     if (scale == 1).all():
         scale = None
 
@@ -224,7 +257,7 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
     pair_weights = np.concatenate([r, c * (r[..., :1] + r[..., 1:] * b)], axis=-1) % q
     hadamard = None
     if plan.strategy == "original":
-        hadamard = hadamard_factors(n // 2)
+        hadamard = tuple(h.astype(download_dtype, copy=False) for h in hadamard_factors(n // 2))
         pair_weights = pair_weights * plan.params.field.inv(n // 2) % q
     unpair = np.empty(n, dtype=np.intp)
     unpair[m.first] = np.arange(0, n, 2)
@@ -232,11 +265,13 @@ def _compile(plan: RepairPlan) -> CompiledRepair:
     return CompiledRepair(
         q=q,
         order=order,
+        download_dtype=download_dtype,
+        recover_dtype=recover_dtype,
         gather=gather,
         scale=scale,
         first=m.first,
         second=m.second,
-        pair_weights=pair_weights,
+        pair_weights=pair_weights.astype(recover_dtype, copy=False),
         unpair=unpair,
         hadamard=hadamard,
     )
@@ -254,10 +289,10 @@ class RepairPlan:
     diagonal.  Cancel node l's payload reaches u2 through the diagonal
     `cancel_diagonals[l]`, and `recover_blocks[m]` is the 2x2 inverse taking
     (u1[m], u2[m]) to the failed node's symbols at the pair of columns of
-    row m.  `compiled`, its execution tables, and cost()'s counts are derived
-    from the fields on first use and kept; a plan made with
-    dataclasses.replace derives its own.  No array a plan holds, derived or
-    not, has more than (k+1) N entries.
+    row m.  `compiled` and `narrow`, its execution tables for int64 and for
+    stored rows, and cost()'s counts are derived from the fields on first
+    use and kept; a plan made with dataclasses.replace derives its own.  No
+    array a plan holds, derived or not, has more than (k+1) N entries.
     """
 
     params: CodeParams
@@ -273,21 +308,31 @@ class RepairPlan:
 
     @cached_property
     def compiled(self) -> CompiledRepair:
-        return _compile(self)
+        """Execution tables for int64 rows (the API's), all in int64."""
+        return _compile(self, wide=True)
+
+    @cached_property
+    def narrow(self) -> CompiledRepair:
+        """Execution tables for stored rows (the cluster's), each kernel's
+        in its accumulator dtype."""
+        return _compile(self, wide=False)
 
     @property
     def downloaded_symbols(self) -> int:
         return (self.params.k + 1) * self.params.n // 2
 
     def helper_payload(self, node: int, rows) -> np.ndarray:
-        """The N/2 symbols helper `node` ships for each of its rows (..., N),
-        which may be in their stored dtype; returns (..., N/2)."""
+        """The N/2 symbols helper `node` ships for each of its rows (..., N);
+        returns (..., N/2).  int64 rows run the int64 tables (`compiled`);
+        rows in any other integer dtype, such as a stored segment's, must
+        hold symbols in [0, q) and run the `narrow` ones."""
         if node not in self.helper_matrices:
             raise ValueError(f"node {node} is not a helper for this repair")
         x = np.asarray(rows)
         if x.shape[-1:] != (self.params.n,):
             raise ValueError(f"rows must have shape (..., {self.params.n})")
-        return self.compiled.download(x, helper=self.compiled.order.index(node))
+        run = self.compiled if x.dtype == np.int64 else self.narrow
+        return run.download(x, helper=run.order.index(node))
 
     def cost(self) -> dict:
         """Per-phase (adds, muls) of repairing one chunk, from the plan alone;

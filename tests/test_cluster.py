@@ -111,7 +111,7 @@ def encode_with_256(tmp_path):
     src = tmp_path / "input.bin"
     src.write_bytes(data)
     state = cmd_encode(src, tmp_path / "cluster", k=3, q=257)
-    blocks = codec.chunk_file(data, p)
+    blocks = codec.chunk_file(data, p).astype(np.int64)  # uint8 cannot hold 256
     blocks[1, 0, 3] = 256
     return state, p, codec.encode_blocks(p, blocks)
 
@@ -274,11 +274,22 @@ class TestShardFormat:
             (p.k + 1, parity_top + 1, f"outside F_{q}"),
             (p.k + 2, -1, f"outside F_{q}"),
         ]
-        # values that narrowing to 16 bits would wrap into range: 5, 0 and 3
-        wrapping = [(p.k + 1, value, f"outside F_{q}") for value in (65541, 1 << 16, -65533)]
+        # values that narrowing to 16 bits would wrap into range (5, 0 and
+        # 3), or to 32 bits (5, and 2**31 to a negative int32)
+        wrapping = [
+            (p.k + 1, value, f"outside F_{q}", dtype)
+            for value, dtype in [
+                (65541, np.int64),
+                (1 << 16, np.int64),
+                (-65533, np.int64),
+                (2**32 + 5, np.int64),
+                (2**31, np.int64),
+                (2**32 + 5, np.uint64),
+            ]
+        ]
 
-        def refused(node, value, match):
-            rows = np.zeros((3, p.n), dtype=np.int64)
+        def refused(node, value, match, dtype=np.int64):
+            rows = np.zeros((3, p.n), dtype=dtype)
             rows[2, 5] = value
             with pytest.raises(IntegrityError, match=f"^node {node} symbol {value} is {match};"):
                 write_segment(path, p, node, rows)
@@ -293,6 +304,15 @@ class TestShardFormat:
             refused(*case)
             assert path.read_bytes() == before
             assert list(tmp_path.iterdir()) == [path]
+
+    def test_non_integer_rows_refused(self, tmp_path, demo_k2):
+        # the range check reads the rows unsigned at their own width, which
+        # only integers allow
+        path = tmp_path / "x.seg"
+        for dtype in (np.float64, np.bool_):
+            with pytest.raises(ValueError, match=f"integer symbols, not {np.dtype(dtype)}"):
+                write_segment(path, demo_k2, 3, np.ones((2, 8), dtype=dtype))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file(self, tmp_path, demo_k2):
         with pytest.raises(IntegrityError, match="missing"):
@@ -762,8 +782,9 @@ class TestRepair:
     def test_range_check_names_first_bad_helper_in_combine_order(
         self, tmp_path, payload, strategy
     ):
-        # the F_q range is checked once over the filled stack, yet the message
-        # still names a helper: the first offending one in combine order
+        # each payload's F_q range is checked in its own dtype before it is
+        # stored, and the message names the first offending helper in
+        # combine order
         path, data = payload
         state = cmd_encode(path, tmp_path / "cluster", k=3, q=257)
         before = node_digest(state, 2)
@@ -792,6 +813,10 @@ class TestRepair:
             ({order[2]: (257, np.int64)}, order[2]),
             ({order[2]: (-1, np.int64)}, order[2]),
             ({order[2]: (2**64 - 1, np.uint64)}, order[2]),  # wraps negative in the stack
+            # wrap to 5, and to a negative int32, in a narrow stack
+            ({order[1]: (2**32 + 5, np.int64)}, order[1]),
+            ({order[1]: (2**31, np.int64)}, order[1]),
+            ({order[3]: (2**32 + 5, np.uint64)}, order[3]),
             ({order[3]: (-1, np.int64), order[1]: (300, np.int64)}, order[1]),
             ({order[1]: (-1, np.int64), order[3]: (300, np.int64)}, order[1]),
             ({order[2]: (257, np.int64), order[0]: (1000, np.int64)}, order[0]),

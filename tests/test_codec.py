@@ -221,6 +221,26 @@ class TestSearch:
             assert (p.a, p.b) == at_257
         assert find_coefficients(k, 257) is find_coefficients(k, 257)
 
+    def test_search_params_memoized_and_failures_raise_every_time(self, monkeypatch):
+        # one CodeParams per (k, q), built with its full coefficient check
+        # once; a (k, q) with no valid set, or an invalid q, is never cached
+        assert search_params(3, 257) is search_params(3, 257)
+        assert search_params(4) is search_params(4)
+        checks = []
+        real = codec.coefficient_violations
+        monkeypatch.setattr(
+            codec, "coefficient_violations", lambda *args: checks.append(args) or real(*args)
+        )
+        search_params.cache_clear()
+        search_params(3, 263)
+        search_params(3, 263)
+        assert len(checks) == 1
+        for k, q, match in [(7, 17, "no valid coefficients"), (5, 11, "2k\\+3")]:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=match):
+                    search_params(k, q)
+
+
 class TestCodingMatrices:
     def test_entries_never_zero(self, demo_k2, demo_k3, searched_params):
         for p in (demo_k2, demo_k3, *searched_params.values()):
@@ -581,7 +601,7 @@ class TestPacking:
             data = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
             blocks = chunk_file(data, p)
             expected = bitwise_chunk_file(data, p)
-            assert blocks.dtype == expected.dtype == np.int64
+            assert blocks.dtype == np.uint8 and expected.dtype == np.int64
             assert blocks.shape == expected.shape
             assert np.array_equal(blocks, expected)
             assert blocks.shape[0] == -(-length // c)
@@ -616,7 +636,7 @@ class TestPacking:
 
     def test_unchunk_rejects_out_of_range_symbol(self):
         p = CodeParams(3, 257, (1, 1, 4), (60, 197, 70))
-        blocks = chunk_file(b"hello world", p)
+        blocks = chunk_file(b"hello world", p).astype(np.int64)
         blocks[0, 0, 0] = 256  # valid field element, invalid packed byte
         with pytest.raises(ValueError, match="^corrupt symbol stream"):
             unchunk(blocks, 11, p)
@@ -624,7 +644,7 @@ class TestPacking:
     def test_byte_mode_rejects_negative_symbol(self):
         # a narrowing cast alone would wrap -1 to 255 (and 256, above, to 0)
         p = search_params(3, 257)
-        blocks = chunk_file(b"hello world", p)
+        blocks = chunk_file(b"hello world", p).astype(np.int64)
         blocks[0, 1, 2] = -1
         with pytest.raises(ValueError, match="^corrupt symbol stream"):
             unchunk(blocks, 11, p)
