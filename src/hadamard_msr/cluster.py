@@ -6,30 +6,37 @@ per node (node-01.seg .. node-{k+2}.seg).  A segment (format v3) is one
 header followed by the node's N symbols per chunk at the node's own width:
 bits_per_symbol(q) for a systematic node, the width its input is packed at,
 and the bits of q - 1 for a parity node.  write_segment and read_segment
-alone know the layout.  Every file is written to a sibling temp file first
-and then renamed into place.  A node is dead when its segment is not a file;
-ClusterState.load stats each segment once and records the dead nodes.
-Killing a node renames its segment to a tombstone; repair rebuilds the
-segment from the other nodes' segments, shipping exactly N/2 symbols per
-chunk from each helper, and then drops the tombstone; decode tolerates any
-two dead nodes.
+alone know the layout.  Encode writes each segment in place, truncating a
+stale one an interrupted encode left, and commits by renaming the manifest
+from a temp file: until then the directory is no cluster.  Repair writes
+the rebuilt segment to a temp file and renames it into place, since a
+segment that is a file is a live node.  A command writes a name in the
+cluster only where it is absent or a regular file no other link shares: a
+symlink, FIFO or hard link there is refused (_open_own).  A node is dead
+when its segment is not a file; ClusterState.load stats each segment once
+and records the dead nodes.  Killing a node renames its segment to a
+tombstone; repair rebuilds the segment from the other nodes' segments,
+shipping exactly N/2 symbols per chunk from each helper, and then drops
+the tombstone; decode tolerates any two dead nodes.
 
 The commands keep symbols narrow from end to end: chunk_file packs uint8
 symbols, read_segment returns uint8 or uint16 rows, and the encode, repair
 and decode kernels widen them only to their accumulator dtype (int32 at
-q = 257; see codec and repair).  Every range check, of a row to be written
-or a payload a helper ships, runs in the checked array's own dtype, before
-anything could narrow it.
+q = 257; see codec and repair).  Every range check, of a row to be written,
+a payload a helper ships or a parity segment read, is _first_outside, run in
+the checked array's own dtype before anything could narrow it.
 
-Segment and manifest I/O is builtin open and os calls on str paths.  Every
-command that loads a cluster opens and reads the manifest once (no stat
-first), stats each of the k+2 segments once, and lists no directory; the
-parse of the manifest's text is memoized, so an unchanged manifest is not
-parsed again in the same process.  On top of that, kill renames one segment;
-repair opens the k+1 helper segments and one temp file, renames it into
-place and unlinks the tombstone; decode opens each live segment and the
-output file, if any.  Encode opens its input once, which also tells a
-missing input from a directory, and tests for an existing manifest once.
+Every file is read and written through a raw descriptor on a str path, by
+_read and _read_fd or by _write, never by builtin open.  Every command that
+loads a cluster opens and reads the manifest once (no stat first), stats
+each of the k+2 segments once, and lists no directory; the parse of the
+manifest's text is memoized, so an unchanged manifest is not parsed again
+in the same process.  On top of that, kill renames one segment; repair
+opens the k+1 helper segments and one temp file, renames it into place and
+unlinks the tombstone; decode opens each live segment and the output file,
+if any.  Encode opens its input once, and that open and its fstat tell a
+missing input from a directory; it tests for an existing manifest once,
+opens each segment once and renames only the manifest.
 
 Errors carry the process exit code the CLI should use: 1 for usage problems,
 2 for integrity/verification failures, 3 when the data is unrecoverable.
@@ -39,12 +46,12 @@ from __future__ import annotations
 
 import os
 import struct
-from errno import EISDIR, ELOOP, ENOENT, ENOTDIR
+from errno import ELOOP, ENOENT, ENOTDIR
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from stat import S_ISREG
+from stat import S_ISDIR, S_ISREG
 
 import numpy as np
 
@@ -81,13 +88,91 @@ class UnrecoverableError(ClusterError):
     exit_code = 3
 
 
-def _write_replace(path, data: bytes) -> None:
-    """Write to a sibling temp file, then rename it over path.  If either
-    step fails, the temp file is removed before the error propagates."""
+# decode --out opens its file as builtin open(path, "wb") does; every file a
+# command writes in the cluster is opened by _open_own
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+_CREATE_OWN = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK
+_STREAM_READ = 1 << 16  # bytes per read past what fstat tells, as of a pipe or device
+
+
+def _read_fd(fd: int, st: os.stat_result, limit: int | None = None) -> bytes:
+    """The bytes of the file open at fd, whose fstat is st: to end of file,
+    or with a limit at most limit + 1 bytes.
+
+    Reading stops at a read that returns nothing, at limit + 1 bytes, or
+    once a regular file's bytes reach the size st tells, so a regular file
+    of that size takes one read of size + 1 (or limit + 1, the smaller).  A
+    short read before that point, as of a file over the 2 GiB one read can
+    return, is followed by another; a file that grew past its size, or one
+    whose size reads as 0, is read on to its end, as a pipe or device is."""
+    size = st.st_size if S_ISREG(st.st_mode) and st.st_size else -1
+    stop = -1 if limit is None else limit + 1
+    parts, got = [], 0
+    while got != size and got != stop:
+        want = size + 1 - got if got < size else _STREAM_READ
+        part = os.read(fd, want if stop < 0 else min(want, stop - got))
+        if not part:
+            break
+        parts.append(part)
+        got += len(part)
+    return b"".join(parts)  # a single part is returned as it is, not copied
+
+
+def _read(path, limit: int | None = None) -> bytes | None:
+    """The bytes of the regular file at path (see _read_fd), or None when
+    path is not a regular file: os.open, os.fstat, reads, os.close.  The
+    open does not block, so a FIFO in the file's place reads as None."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        st = os.fstat(fd)
+        return _read_fd(fd, st, limit) if S_ISREG(st.st_mode) else None
+    finally:
+        os.close(fd)
+
+
+def _open_own(path) -> int:
+    """A descriptor for writing path as an empty regular file, created if
+    missing.  Whatever else is at the name is refused before any of its
+    bytes change: a symlink (ELOOP, not followed), a FIFO (ENXIO with no
+    reader, since the open does not block), any other file that is not
+    regular, and a regular file another hard link shares."""
+    fd = os.open(path, _CREATE_OWN, 0o666)
+    try:
+        st = os.fstat(fd)
+        if not S_ISREG(st.st_mode) or st.st_nlink != 1:
+            raise IntegrityError(f"{path} is not a regular file of its own; not written")
+        if st.st_size:  # a stale file an interrupted encode left
+            os.ftruncate(fd, 0)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _write(path, buffers, own: bool = True) -> None:
+    """Write the buffers (flat, of bytes), in order, to path: open it (by
+    _open_own, or as decode --out does), os.writev until every byte is
+    written, os.close."""
+    fd = _open_own(path) if own else os.open(path, _CREATE, 0o666)
+    try:
+        views = [memoryview(b) for b in buffers]
+        while views:
+            done = os.writev(fd, views)
+            while views and done >= len(views[0]):
+                done -= len(views.pop(0))
+            if views:  # a short write: resume inside the first unwritten buffer
+                views[0] = views[0][done:]
+    finally:
+        os.close(fd)
+
+
+def _write_replace(path, buffers) -> None:
+    """Write the buffers to a sibling temp file, then rename it over path.
+    If either step fails, the temp file is removed before the error
+    propagates."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as f:
-            f.write(data)
+        _write(tmp, buffers)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -100,11 +185,6 @@ def _in_root(root, name: str) -> str:
     drops a root of "." from the join."""
     root = os.fspath(root)
     return name if root == "." else os.path.join(root, name)
-
-
-def _open_nonblocking(path, flags):
-    # a FIFO in place of the manifest must not block its open
-    return os.open(path, flags | os.O_NONBLOCK)
 
 
 def _width(params: CodeParams, node: int) -> int:
@@ -124,13 +204,28 @@ def _plane_table(bit: int, dtype) -> np.ndarray:
     return table
 
 
-def _unsigned(a: np.ndarray) -> np.ndarray:
-    """Integer array a viewed as unsigned at its own width, where a negative
-    symbol reads as 2**(bits - 1) or more, above every limit a node has."""
-    return a.view(np.dtype(f"u{a.itemsize}"))
+def _first_outside(a: np.ndarray, limit: int):
+    """The first symbol of integer array a outside [0, limit), or None.
+
+    One pass in a's own dtype, before anything could narrow it: a is viewed
+    unsigned at its width, where a negative symbol reads as 2**(bits - 1) or
+    more.  So a signed symbol is outside when its view is at or above
+    min(limit, 2**(bits - 1)): above that every non-negative one is inside.
+    An unsigned dtype that cannot hold limit (2**bits <= limit) is not
+    scanned, which spares every systematic segment at q > 255."""
+    bits = 8 * a.itemsize
+    if a.dtype.kind == "u":
+        if limit >= 1 << bits:
+            return None
+    else:
+        limit = min(limit, 1 << (bits - 1))
+    seen = a.view(np.dtype(f"u{a.itemsize}"))
+    if not seen.size or seen.max() < limit:
+        return None
+    return a.flat[int(np.argmax(seen >= limit))]
 
 
-def write_segment(path, params: CodeParams, node: int, rows) -> None:
+def write_segment(path, params: CodeParams, node: int, rows, in_place: bool = False) -> None:
     """Store a node's (chunks, N) symbol rows; row c is chunk c.
 
     The body holds the M = chunks*N symbols in record order at the node's
@@ -141,8 +236,18 @@ def write_segment(path, params: CodeParams, node: int, rows) -> None:
     whole bytes because N >= 8.  The rows may be of any integer dtype.  A
     symbol the node cannot hold raises IntegrityError before anything is
     written: a systematic one outside [0, 2**w), which no input byte stream
-    packs to, or a parity one outside F_q.  The check runs in the rows' own
-    dtype, before any narrowing could wrap 2**16 + 5 to a valid-looking 5.
+    packs to, or a parity one outside F_q (see _first_outside, which checks
+    in the rows' own dtype, before any narrowing could wrap 2**16 + 5 to a
+    valid-looking 5).
+
+    The header and planes go to the file in one writev, with no joined
+    copy.  By default they go to a sibling temp file that is then renamed
+    over path, so a live segment is never seen half written.  in_place
+    writes path itself, truncating a stale file there: encode does, since
+    its directory is no cluster until the manifest is renamed into place.
+    Either way the name written must be absent or a regular file no other
+    link shares: a symlink, FIFO or hard link there is refused (see
+    _open_own).
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != params.n:
@@ -150,18 +255,16 @@ def write_segment(path, params: CodeParams, node: int, rows) -> None:
     if rows.dtype.kind not in "iu":
         raise ValueError(f"segment rows must hold integer symbols, not {rows.dtype}")
     width = _width(params, node)
-    limit = 1 << width if node <= params.k else params.q
-    seen = _unsigned(rows)
-    if seen.size and seen.max() >= limit:
-        bad = rows.flat[int(np.argmax(seen >= limit))]
+    bad = _first_outside(rows, 1 << width if node <= params.k else params.q)
+    if bad is not None:
         what = f"not below 2**{width}" if node <= params.k else f"outside F_{params.q}"
         raise IntegrityError(f"node {node} symbol {bad} is {what}; {path} not written")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, params.k, params.q, node, rows.shape[0])
     # w <= 15, so there is one byte plane (the low byte) from 8 bits up
-    planes = [header, rows.astype(np.uint8)] if width >= 8 else [header]
+    planes = [header, rows.astype(np.uint8).ravel()] if width >= 8 else [header]
     for bit in range(width // 8 * 8, width):
         planes.append(np.packbits((rows & (1 << bit)) != 0))
-    _write_replace(path, b"".join(planes))
+    (_write if in_place else _write_replace)(path, planes)
 
 
 def read_segment(path, params: CodeParams, node: int, chunks: int) -> np.ndarray:
@@ -171,11 +274,14 @@ def read_segment(path, params: CodeParams, node: int, chunks: int) -> np.ndarray
     The file's size must match the manifest's chunk count before any array
     is built.  A parity node's symbols are range-checked against q; a
     systematic node's width cannot hold a symbol outside F_q."""
+    width, symbols = _width(params, node), chunks * params.n
+    size = _HEADER.size + symbols * width // 8
     try:
-        with open(path, "rb", buffering=0) as f:
-            raw = f.read()
+        raw = _read(path, limit=size)  # one byte past size shows a longer file
     except FileNotFoundError:
-        raise IntegrityError(f"missing segment {path}") from None
+        raw = None
+    if raw is None:
+        raise IntegrityError(f"missing segment {path}")
     if len(raw) < _HEADER.size:
         raise IntegrityError(f"segment {path} is truncated")
     magic, version, k, q, node_id, count = _HEADER.unpack_from(raw)
@@ -187,9 +293,8 @@ def read_segment(path, params: CodeParams, node: int, chunks: int) -> np.ndarray
         raise IntegrityError(f"segment {path} belongs to a k={k}, q={q} code")
     if node_id != node:
         raise IntegrityError(f"segment {path} labeled node={node_id}, expected node={node}")
-    width, symbols = _width(params, node), chunks * params.n
     # checked before any array of `chunks` rows exists: the manifest may be tampered
-    if count != chunks or len(raw) != _HEADER.size + symbols * width // 8:
+    if count != chunks or len(raw) != size:
         raise IntegrityError(
             f"segment {path} has wrong size for {chunks} chunks ({count} in its header)"
         )
@@ -202,7 +307,7 @@ def read_segment(path, params: CodeParams, node: int, chunks: int) -> np.ndarray
         plane = body[at : at + symbols // 8]
         rows |= _plane_table(bit, dtype).take(plane, axis=0).reshape(-1)
         at += symbols // 8
-    if node > params.k and rows.size and rows.max() >= params.q:
+    if node > params.k and _first_outside(rows, params.q) is not None:
         raise IntegrityError(f"segment {path} holds symbols outside F_{params.q}")
     rows = rows.reshape(chunks, params.n)
     rows.flags.writeable = False
@@ -230,7 +335,7 @@ class Manifest:
                 ("packing", bits_per_symbol(p.q)),
             )
         )
-        _write_replace(_in_root(root, MANIFEST_NAME), text.encode())
+        _write_replace(_in_root(root, MANIFEST_NAME), [text.encode()])
 
     @classmethod
     def load(cls, root) -> "Manifest":
@@ -243,13 +348,10 @@ class Manifest:
         cluster.  The file is read on every call; only the parse of its
         text is memoized."""
         try:
-            with open(
-                _in_root(root, MANIFEST_NAME), "rb", buffering=0, opener=_open_nonblocking
-            ) as f:
-                # a directory fails in open, a FIFO or a device here
-                text = f.read().decode() if S_ISREG(os.fstat(f.fileno()).st_mode) else None
-        except OSError as exc:  # missing, under a non-directory, a directory or a loop
-            if exc.errno not in (ENOENT, ENOTDIR, EISDIR, ELOOP):
+            raw = _read(_in_root(root, MANIFEST_NAME))  # None for a directory, FIFO or device
+            text = None if raw is None else raw.decode()
+        except OSError as exc:  # missing, under a non-directory or a loop
+            if exc.errno not in (ENOENT, ENOTDIR, ELOOP):
                 raise
             text = None
         except UnicodeDecodeError as exc:
@@ -356,20 +458,23 @@ def cmd_encode(
 ) -> ClusterState:
     """Split a file into chunks, encode, and write one segment per node.
 
-    The manifest is saved last, so an interrupted encode leaves no cluster.
+    Each segment is written in place, truncating a stale one that an
+    interrupted encode left, and the manifest is saved last, through a temp
+    file and a rename: an interrupted encode leaves no cluster.
     """
     # str paths for the file calls, naming what Path("") would: the working
     # directory; a Path only names an argument in a message
     source, out_dir = os.fspath(input_path) or ".", os.fspath(out_dir) or "."
     try:
-        f = open(source, "rb")  # the one open classifies the input
-    except OSError as exc:  # missing, under a non-directory, a loop or a directory
+        fd = os.open(source, os.O_RDONLY)  # the open and its fstat classify the input
+    except OSError as exc:  # missing, under a non-directory or a loop
         if exc.errno in (ENOENT, ENOTDIR, ELOOP):
             raise UsageError(f"input file {Path(source)} not found") from None
-        if exc.errno == EISDIR:
-            raise UsageError(f"input {Path(source)} is a directory, not a file") from None
         raise
-    with f:
+    try:
+        st = os.fstat(fd)
+        if S_ISDIR(st.st_mode):
+            raise UsageError(f"input {Path(source)} is a directory, not a file")
         if os.path.exists(_in_root(out_dir, MANIFEST_NAME)):
             raise UsageError(f"{Path(out_dir)} already holds a cluster")
         if demo:
@@ -384,7 +489,9 @@ def cmd_encode(
                 params = search_params(k, q)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
-        data = f.read()
+        data = _read_fd(fd, st)  # to end of file, so a pipe or /dev/null reads too
+    finally:
+        os.close(fd)
     blocks = codec.chunk_file(data, params)  # uint8 symbols, below 2**bits <= q
     parities = codec.parities(params, blocks)
     manifest = Manifest(params=params, chunk_count=blocks.shape[0], original_length=len(data))
@@ -392,8 +499,8 @@ def cmd_encode(
     state = ClusterState(root=Path(out_dir), manifest=manifest)
     for node in range(1, params.k + 3):
         rows = blocks[:, node - 1] if node <= params.k else parities[:, node - params.k - 1]
-        write_segment(state._segment_file(node), params, node, rows)
-    manifest.save(out_dir)
+        write_segment(state._segment_file(node), params, node, rows, in_place=True)
+    manifest.save(out_dir)  # the one rename: the directory is a cluster from here on
     return state
 
 
@@ -495,7 +602,7 @@ def cmd_repair(
         # turn 2**32 + 5 into 5
         if payload.dtype.kind not in "iu":
             raise IntegrityError(f"helper {helper} shipped {payload.dtype} symbols, not integers")
-        if outside is None and payload.size and _unsigned(payload).max() >= params.q:
+        if outside is None and _first_outside(payload, params.q) is not None:
             outside = helper
         stack[:, i] = payload
         shipped[helper] = int(payload.size)
@@ -547,8 +654,7 @@ def cmd_decode(root, out_path=None) -> bytes:
     except ValueError as exc:
         raise IntegrityError(str(exc)) from None
     if out_path is not None:
-        with open(out_path, "wb") as f:
-            f.write(data)
+        _write(out_path, [data], own=False)  # follows a symlink, as open(out_path, "wb") does
     return data
 
 

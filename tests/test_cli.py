@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hadamard_msr
-from hadamard_msr import cli, cluster
+from hadamard_msr import cli
 from hadamard_msr.cli import build_parser, main
 from hadamard_msr.metering import CSV_HEADER
 
@@ -378,10 +378,12 @@ class TestLiveness:
 
     def test_each_command_reads_liveness_once(self, tmp_path, blob, capsys, monkeypatch):
         # the manifest is opened, not stat'ed: one stat per segment, k+2 in
-        # all, no listing, and no open beyond the files each command needs
+        # all, no listing, and no open beyond the files each command needs;
+        # every file goes through os.open, none through builtin open
+        path, _ = blob
         root = encode_cluster(tmp_path, blob)
-        listed, stats, opened = [], [], []
-        scandir, stat, open_ = os.scandir, os.stat, builtins.open
+        listed, stats, opened, builtin_opened = [], [], [], []
+        scandir, stat, os_open, open_ = os.scandir, os.stat, os.open, builtins.open
 
         def counting_scandir(*args):
             listed.append(args)
@@ -391,15 +393,24 @@ class TestLiveness:
             stats.append(path)
             return stat(path, *args, **kwargs)
 
-        def counting_open(path, *args, **kwargs):
+        def counting_os_open(path, *args, **kwargs):
             opened.append(Path(path).name)
+            return os_open(path, *args, **kwargs)
+
+        def counting_open(path, *args, **kwargs):
+            builtin_opened.append(path)
             return open_(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "scandir", counting_scandir)
         monkeypatch.setattr(os, "stat", counting_stat)
+        monkeypatch.setattr(os, "open", counting_os_open)
         monkeypatch.setattr(builtins, "open", counting_open)
         segments = ["node-01.seg", "node-02.seg", "node-03.seg", "node-04.seg"]
         for argv, opens in (
+            (
+                ["encode", str(path), str(tmp_path / "second"), "--k", "2", "--demo"],
+                ["blob.bin", "manifest.txt.tmp", *segments],
+            ),
             (["kill", str(root), "4"], ["manifest.txt"]),
             (["verify", str(root)], ["manifest.txt"]),
             (["repair", str(root), "4"], ["manifest.txt", *segments[:3], "node-04.seg.tmp"]),
@@ -415,6 +426,7 @@ class TestLiveness:
             assert listed == []
             assert len(stats) <= 2 + 2, stats
             assert sorted(opened) == opens, argv
+            assert builtin_opened == [], argv
 
 
 class TestManifestRead:
@@ -472,7 +484,8 @@ CRASHED_REPAIR_2 = [
 
 
 class TestCrash:
-    """A failing rename leaves a cluster that decodes and a command that reruns."""
+    """A failing write or rename leaves a cluster that decodes and a command
+    that reruns."""
 
     @staticmethod
     def failing_replace(monkeypatch, fail_on_call):
@@ -486,6 +499,29 @@ class TestCrash:
 
         monkeypatch.setattr(os, "replace", flaky)
         return calls
+
+    @staticmethod
+    def filling_write(monkeypatch, name):
+        """A write to a file called `name` stores its first 10 bytes and then
+        fails as a full device does; other files are written whole.  Returns
+        [(path, fd, size after the write)] for each failed write."""
+        os_open, writev, writes, opened = os.open, os.writev, [], {}
+
+        def tracking_open(path, *args, **kwargs):
+            fd = os_open(path, *args, **kwargs)
+            opened[fd] = Path(path)
+            return fd
+
+        def fills_up(fd, buffers):
+            if opened[fd].name != name:
+                return writev(fd, buffers)
+            os.write(fd, bytes(buffers[0][:10]))
+            writes.append((opened[fd], fd, os.fstat(fd).st_size))
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "open", tracking_open)
+        monkeypatch.setattr(os, "writev", fills_up)
+        return writes
 
     def test_repair_interrupted(self, tmp_path, blob, capsys, monkeypatch):
         _, data = blob
@@ -509,39 +545,17 @@ class TestCrash:
 
     def test_repair_write_fails(self, tmp_path, blob, capsys, monkeypatch):
         # the device fills up partway through writing the rebuilt segment's
-        # temp file; the partial temp file is removed
+        # temp file; the partial temp file is removed and its descriptor closed
         _, data = blob
         root = encode_cluster(tmp_path, blob)
         assert main(["kill", str(root), "2"]) == 0
-        written = []
-
-        class FillsUp:
-            def __init__(self, file):
-                self.file = file
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.file.close()
-
-            def write(self, content):
-                self.file.write(content[:10])
-                self.file.flush()
-                written.append(os.path.getsize(self.file.name))
-                raise OSError(28, "No space left on device")
-
-        def disk_full(path, mode="r", *args, **kwargs):
-            file = open(path, mode, *args, **kwargs)
-            if "w" not in mode:
-                return file
-            written.append(Path(path))
-            return FillsUp(file)
-
         with monkeypatch.context() as m:
-            m.setattr(cluster, "open", disk_full, raising=False)
+            writes = self.filling_write(m, "node-02.seg.tmp")
             assert main(["repair", str(root), "2"]) == 2
-        assert written == [root / "node-02.seg.tmp", 10]
+        [(path, fd, size)] = writes
+        assert (path, size) == (root / "node-02.seg.tmp", 10)
+        with pytest.raises(OSError, match="Bad file descriptor"):
+            os.fstat(fd)
         assert "No space left" in capsys.readouterr().err
         assert names(root) == CRASHED_REPAIR_2
         assert main(["repair", str(root), "2"]) == 0
@@ -549,15 +563,25 @@ class TestCrash:
         assert main(["decode", str(root), "--out", str(out)]) == 0
         assert out.read_bytes() == data
 
-    # the renames of node 1's segment, node 3's segment and the manifest
-    @pytest.mark.parametrize("fail_on_call", [1, 3, 5])
-    def test_encode_interrupted(self, tmp_path, blob, capsys, monkeypatch, fail_on_call):
+    # the 1st, 3rd and 5th file the encode commits fail: node 1's segment
+    # write, node 3's segment write and the manifest rename
+    @pytest.mark.parametrize(
+        "failing", ["node-01.seg", "node-03.seg", "manifest rename"], ids=["1", "3", "5"]
+    )
+    def test_encode_interrupted(self, tmp_path, blob, capsys, monkeypatch, failing):
         path, data = blob
         root = tmp_path / "cluster"
         argv = ["encode", str(path), str(root), "--k", "2", "--demo"]
         with monkeypatch.context() as m:
-            self.failing_replace(m, fail_on_call)
+            if failing == "manifest rename":
+                calls = self.failing_replace(m, 1)
+            else:
+                writes = self.filling_write(m, failing)
             assert main(argv) == 2
+        if failing == "manifest rename":
+            assert calls == [root / "manifest.txt"]
+        else:
+            assert [(p, size) for p, _, size in writes] == [(root / failing, 10)]
         assert not (root / "manifest.txt").exists()
         assert not [name for name in names(root) if name.endswith(".tmp")]
         assert main(["decode", str(root)]) == 1

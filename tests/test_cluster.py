@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import os
 import shutil
+import signal
 import struct
 from pathlib import Path
 
@@ -305,6 +306,139 @@ class TestShardFormat:
             assert path.read_bytes() == before
             assert list(tmp_path.iterdir()) == [path]
 
+    def test_negative_narrow_symbol_refused(self, tmp_path):
+        # an int8 -1 viewed unsigned is 255, below the systematic limit 256 at
+        # q = 257; it must not be stored as 255
+        p = search_params(3, 257)
+        path = tmp_path / "x.seg"
+        for node, match in ((1, "not below 2\\*\\*8"), (p.k + 1, "outside F_257")):
+            for dtype in (np.int8, np.int16):
+                rows = np.zeros((2, p.n), dtype=dtype)
+                rows[1, 3] = -1
+                with pytest.raises(IntegrityError, match=f"^node {node} symbol -1 is {match};"):
+                    write_segment(path, p, node, rows)
+                assert list(tmp_path.iterdir()) == []
+        # every int8 value from 0 up is a byte a systematic node holds
+        rows = np.arange(128, dtype=np.int8).reshape(-1, p.n)
+        write_segment(path, p, 1, rows)
+        assert np.array_equal(read_segment(path, p, 1, rows.shape[0]), rows)
+
+    def test_parity_byte_rows_still_scanned(self, tmp_path):
+        # uint8 rows can hold 200, outside F_131, though a parity node there
+        # is 8 bits wide: only a dtype that cannot reach the limit is trusted
+        p = codec.CodeParams(3, 131, (1, 1, 1), (2, 3, 4), check=False)
+        assert width(p, p.k + 1) == 8
+        rows = np.zeros((2, p.n), dtype=np.uint8)
+        rows[0, 1] = 200
+        with pytest.raises(IntegrityError, match="^node 4 symbol 200 is outside F_131;"):
+            write_segment(tmp_path / "x.seg", p, p.k + 1, rows)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+    )
+    @pytest.mark.parametrize("limit", [7, 131, 256, 257, 32749])
+    def test_first_outside_matches_a_two_sided_check(self, dtype, limit):
+        info = np.iinfo(dtype)
+        edges = {0, 1, limit - 1, limit, limit + 1, -1, -limit, info.min, info.max, info.max // 2}
+        values = [v for v in sorted(edges) if info.min <= v <= info.max]
+        for bad in values:
+            a = np.zeros(20, dtype=dtype)[::2]  # strided, as a column of a word is
+            a[3] = bad
+            expected = None if 0 <= bad < limit else bad
+            assert cluster._first_outside(a, limit) == expected, (bad, limit)
+        assert cluster._first_outside(np.zeros((0, 8), dtype=dtype), limit) is None
+
+    def test_short_writes_resume(self, tmp_path, monkeypatch):
+        # writev may store fewer bytes than asked: the writer resumes inside
+        # the first unwritten buffer until every plane is out
+        p = search_params(3, 257)
+        rows = np.random.default_rng(5).integers(0, 257, size=(9, p.n))
+        path = tmp_path / "x.seg"
+        write_segment(path, p, p.k + 1, rows)
+        whole = path.read_bytes()
+        calls = []
+
+        def short(fd, buffers):
+            calls.append(len(buffers))
+            return os.write(fd, bytes(buffers[0][:5]))
+
+        monkeypatch.setattr(os, "writev", short)
+        for in_place in (False, True):
+            calls.clear()
+            write_segment(path, p, p.k + 1, rows, in_place=in_place)
+            assert path.read_bytes() == whole
+            assert len(calls) > len(whole) // 5 and calls[0] == 3  # header and two planes
+        assert np.array_equal(read_segment(path, p, p.k + 1, 9), rows)
+
+    def test_short_reads_resume(self, tmp_path, payload, monkeypatch):
+        # a read may return fewer bytes than asked, as one over 2 GiB does:
+        # the reader goes on, so encode stores the whole input and a good
+        # segment and manifest still read
+        path, data = payload
+        reads, os_read = [], os.read
+
+        def short(fd, n):
+            reads.append(n)
+            return os_read(fd, min(n, 7))
+
+        monkeypatch.setattr(os, "read", short)
+        state = cmd_encode(path, tmp_path / "cluster", k=3, q=257)
+        assert len(reads) > len(data) // 7
+        assert state.manifest.original_length == len(data)
+        assert Manifest.load(state.root).original_length == len(data)
+        p = state.manifest.params
+        rows = read_segment(state.segment_path(p.k + 1), p, p.k + 1, state.manifest.chunk_count)
+        assert rows.shape == (state.manifest.chunk_count, p.n)
+        assert cmd_decode(state.root) == data
+        cmd_kill(state.root, 1)
+        cmd_kill(state.root, 4)
+        assert cmd_decode(state.root) == data
+
+    @pytest.mark.parametrize("told", [0, 5, 100])
+    def test_read_goes_past_the_size_fstat_told(self, tmp_path, told):
+        # a file that grew after its fstat, or whose size reads as 0 as some
+        # pseudo-files do, is read to its end
+        path = tmp_path / "x.bin"
+        path.write_bytes(bytes(range(256)) * 1000)
+        st = os.stat(path)
+        st = os.stat_result((st.st_mode, 0, 0, 1, 0, 0, told, 0, 0, 0))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            assert cluster._read_fd(fd, st) == path.read_bytes()
+        finally:
+            os.close(fd)
+
+    def test_longer_segment_read_no_further(self, tmp_path, demo_k2, rng, monkeypatch):
+        # a segment one byte or 1 MiB too long is refused with the size
+        # message, after reading at most one byte past the expected size
+        path = tmp_path / "x.seg"
+        w = width(demo_k2, 1)
+        write_segment(path, demo_k2, 1, rng.integers(0, 1 << w, size=(4, 8)))
+        good = path.read_bytes()
+        expected = 14 + 4 * 8 * w // 8
+        assert len(good) == expected
+        read, os_read = [], os.read
+
+        def counting_read(fd, n):
+            out = os_read(fd, n)
+            read.append((n, len(out)))
+            return out
+
+        monkeypatch.setattr(os, "read", counting_read)
+        for extra in (1, 1 << 20):
+            path.write_bytes(good + b"\0" * extra)
+            read.clear()
+            with pytest.raises(
+                IntegrityError, match=r"x\.seg has wrong size for 4 chunks \(4 in its header\)$"
+            ):
+                read_segment(path, demo_k2, 1, 4)
+            assert read == [(expected + 1, expected + 1)]
+        path.write_bytes(good)
+        read.clear()
+        assert read_segment(path, demo_k2, 1, 4).shape == (4, 8)
+        assert read == [(expected + 1, expected)]
+
     def test_non_integer_rows_refused(self, tmp_path, demo_k2):
         # the range check reads the rows unsigned at their own width, which
         # only integers allow
@@ -423,13 +557,18 @@ class TestManifest:
         # the file is opened on every load; an unchanged manifest skips the
         # parse, an edited one is parsed afresh
         Manifest(params=demo_k2, chunk_count=1, original_length=4).save(tmp_path)
-        opened = []
-        open_ = builtins.open
+        opened, builtin_opened = [], []
+        os_open, open_ = os.open, builtins.open
+
+        def counting_os_open(path, *args, **kwargs):
+            opened.append(path)
+            return os_open(path, *args, **kwargs)
 
         def counting_open(path, *args, **kwargs):
-            opened.append(path)
+            builtin_opened.append(path)
             return open_(path, *args, **kwargs)
 
+        monkeypatch.setattr(os, "open", counting_os_open)
         monkeypatch.setattr(builtins, "open", counting_open)
         cluster._parse_manifest.cache_clear()
         first = Manifest.load(tmp_path)
@@ -442,6 +581,7 @@ class TestManifest:
         assert (edited.chunk_count, first.chunk_count) == (2, 1)
         assert cluster._parse_manifest.cache_info().misses == 2
         assert [Path(p).name for p in opened].count("manifest.txt") == 3
+        assert builtin_opened == []
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -539,6 +679,136 @@ class TestEncode:
             with pytest.raises(UsageError) as err:
                 cmd_encode(arg, tmp_path / "cluster", k=2, demo=True)
             assert str(err.value) == expected
+
+    def test_stale_segments_overwritten(self, tmp_path, payload):
+        # an interrupted encode leaves segments but no manifest; encoding
+        # into that directory truncates them in place
+        path, data = payload
+        fresh = cmd_encode(path, tmp_path / "fresh", k=3, q=257)
+        root = tmp_path / "cluster"
+        root.mkdir()
+        (root / "node-01.seg").write_bytes(b"stale" * 10_000)  # longer than the segment
+        (root / "node-03.seg").write_bytes(b"x")
+        (root / "node-05.seg").write_bytes(fresh.segment_path(4).read_bytes())
+        state = cmd_encode(path, root, k=3, q=257)
+        for node in range(1, 6):
+            assert node_digest(state, node) == node_digest(fresh, node), node
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            p.name for p in fresh.root.iterdir()
+        )
+        assert cmd_decode(root) == data
+
+    @pytest.mark.parametrize("target", ["file", "dangling"])
+    def test_symlink_at_segment_refused(self, tmp_path, payload, capsys, target):
+        # encode writes segments in place and follows no link there: the
+        # link's target is left as it was and no cluster is made
+        path, _ = payload
+        root = tmp_path / "cluster"
+        root.mkdir()
+        linked = tmp_path / "precious.bin"
+        if target == "file":
+            linked.write_bytes(b"keep these bytes\n")
+        (root / "node-01.seg").symlink_to(linked)
+        argv = ["encode", str(path), str(root), "--k", "2", "--demo"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        seg = root / "node-01.seg"
+        assert err == f"error: [Errno 40] Too many levels of symbolic links: '{seg}'\n"
+        if target == "file":
+            assert linked.read_bytes() == b"keep these bytes\n"
+        else:
+            assert not linked.exists()
+        assert (root / "node-01.seg").is_symlink()
+        assert sorted(p.name for p in root.iterdir()) == ["node-01.seg"]
+
+    @pytest.mark.parametrize("kind", ["hard link", "fifo", "fifo with a reader"])
+    def test_shared_or_special_file_at_segment_refused(self, tmp_path, payload, capsys, kind):
+        # encode truncates a stale segment in place, so a file another name
+        # shares, or a FIFO, is refused before any of it changes; the open
+        # of a FIFO does not wait for a reader
+        path, _ = payload
+        root = tmp_path / "cluster"
+        root.mkdir()
+        seg = root / "node-02.seg"
+        other = tmp_path / "precious.bin"
+        reader = None
+        if kind == "hard link":
+            other.write_bytes(b"keep these bytes\n")
+            os.link(other, seg)
+        else:
+            os.mkfifo(seg)
+            if kind == "fifo with a reader":
+                reader = os.open(seg, os.O_RDONLY | os.O_NONBLOCK)
+
+        def waited(*_):
+            raise TimeoutError("encode blocked on the FIFO")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(10)
+        try:
+            code = main(["encode", str(path), str(root), "--k", "2", "--demo"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            if reader is not None:
+                assert os.read(reader, 1 << 16) == b""  # nothing went into the pipe
+                os.close(reader)
+        assert code == 2
+        err = capsys.readouterr().err
+        if kind == "fifo":
+            assert err == f"error: [Errno 6] No such device or address: '{seg}'\n"
+        else:
+            assert err == f"error: {seg} is not a regular file of its own; not written\n"
+        if kind == "hard link":
+            assert other.read_bytes() == b"keep these bytes\n"
+            assert os.stat(seg).st_nlink == 2
+        assert sorted(p.name for p in root.iterdir()) == ["node-01.seg", "node-02.seg"]
+        assert main(["decode", str(root)]) == 1  # no manifest: no cluster
+        seg.unlink()
+        assert main(["encode", str(path), str(root), "--k", "2", "--demo"]) == 0
+
+    def test_hard_link_at_repair_temp_file_refused(self, tmp_path, payload, capsys):
+        # the temp file is truncated in place too: a link there is refused,
+        # then removed by the failed write's cleanup, so a rerun succeeds
+        path, data = payload
+        state = cmd_encode(path, tmp_path / "cluster", k=2, demo=True)
+        cmd_kill(state.root, 3)
+        other = tmp_path / "precious.bin"
+        other.write_bytes(b"keep these bytes\n")
+        os.link(other, state.root / "node-03.seg.tmp")
+        assert main(["repair", str(state.root), "3"]) == 2
+        assert "is not a regular file of its own; not written" in capsys.readouterr().err
+        assert other.read_bytes() == b"keep these bytes\n"
+        assert not (state.root / "node-03.seg.tmp").exists()
+        assert main(["repair", str(state.root), "3"]) == 0
+        assert cmd_decode(state.root) == data
+
+    def test_one_rename_and_k_plus_3_files_written(self, tmp_path, payload, monkeypatch):
+        # each segment is opened once for writing at its own name, and the
+        # manifest's temp file is the one rename
+        path, data = payload
+        root = tmp_path / "cluster"
+        os_open, replace = os.open, os.replace
+        written, renamed = [], []
+
+        def counting_open(name, flags, *args, **kwargs):
+            if flags & (os.O_WRONLY | os.O_RDWR):
+                written.append((Path(name), flags))
+            return os_open(name, flags, *args, **kwargs)
+
+        def counting_replace(src, dst):
+            renamed.append((Path(src), Path(dst)))
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        monkeypatch.setattr(os, "replace", counting_replace)
+        state = cmd_encode(path, root, k=3, q=257)
+        create = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK
+        assert written == [(root / f"node-0{n}.seg", create) for n in range(1, 6)] + [
+            (root / "manifest.txt.tmp", create)
+        ]
+        assert renamed == [(root / "manifest.txt.tmp", root / "manifest.txt")]
+        assert cmd_decode(state.root) == data
 
     def test_missing_input_refused(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
@@ -776,6 +1046,32 @@ class TestRepair:
                 assert tombstone(state, 2).is_file()
         cmd_repair(state.root, 2, strategy=strategy)
         assert node_digest(state, 2) == before
+        assert cmd_decode(state.root) == data
+
+    @pytest.mark.parametrize("strategy", ["new", "original"])
+    def test_negative_narrow_payload_rejected(self, tmp_path, payload, strategy):
+        # an int8 -1 viewed unsigned is 255, inside F_257; it is refused as
+        # the int16 and int64 -1 are
+        path, data = payload
+        state = cmd_encode(path, tmp_path / "cluster", k=3, q=257)
+        before = node_digest(state, 4)
+        cmd_kill(state.root, 4)
+        for dtype in (np.int8, np.int16, np.int64):
+
+            def reader(state_, plan, helper, dtype=dtype):
+                out = read_repair_payload(state_, plan, helper)
+                if helper != 1:
+                    return out
+                bad = np.zeros(out.shape, dtype=dtype)
+                bad[-1, -1] = -1
+                return bad
+
+            with pytest.raises(IntegrityError, match="^helper 1 shipped symbols outside F_257$"):
+                cmd_repair(state.root, 4, strategy=strategy, payload_reader=reader)
+            assert not state.segment_path(4).exists()
+            assert tombstone(state, 4).is_file()
+        cmd_repair(state.root, 4, strategy=strategy)
+        assert node_digest(state, 4) == before
         assert cmd_decode(state.root) == data
 
     @pytest.mark.parametrize("strategy", ["new", "original"])
